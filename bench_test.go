@@ -413,6 +413,30 @@ func BenchmarkMonteCarloAverages(b *testing.B) {
 	}
 }
 
+// BenchmarkControlTwinMeans measures the exact-μ disc quadrature a cv
+// pilot runs for each estimation point: the registered σ = 0 twin's
+// Means for the averages kernel (one two-component disc pass) and the
+// policy-diff kernel (one ⟨C_conc⟩ pass). It dominates a pilot's CPU;
+// the 1,024 pilot samples are a small fraction of it.
+func BenchmarkControlTwinMeans(b *testing.B) {
+	req, ok := core.AveragesRequest(core.DefaultParams(), 55, 40, 55, 1, 1)
+	if !ok {
+		b.Fatal("averages kernel must be serializable")
+	}
+	for _, k := range []struct{ name, kernel string }{
+		{"averages", core.KernelAverages},
+		{"policy-diff", core.KernelPolicyDiff},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := montecarlo.ControlTwinMeans(k.kernel, req.Params); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkDistributedVsLocal measures the distributed executor's
 // per-shard overhead against the in-process pool on the same
 // estimation (EstimateAverages, 40k samples ≈ 10 shards): shard

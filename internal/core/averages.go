@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"carriersense/internal/geometry"
 	"carriersense/internal/montecarlo"
 	"carriersense/internal/numeric"
 )
@@ -99,12 +98,15 @@ func (m *Model) AvgMuxQuad(rmax float64) float64 {
 // AvgConcQuad computes ⟨C_concurrent⟩(R_max, D) for σ = 0 by nested
 // quadrature over the receiver disc.
 func (m *Model) AvgConcQuad(rmax, d float64) float64 {
-	return numeric.DiscAverage(func(r, theta float64) float64 {
-		p := geometry.Polar(r, theta)
-		c := Config{D: d, X1: p.X, Y1: p.Y, LSig1: 1, LInt1: 1}
-		return m.CConcurrent(c, 1)
-	}, rmax, 48, 24)
+	return numeric.DiscAverage(1, func(x, y float64, v []float64) {
+		c := Config{D: d, X1: x, Y1: y, LSig1: 1, LInt1: 1}
+		v[0] = m.CConcurrent(c, 1)
+	}, rmax, discRPanels, discThetaPanels)[0]
 }
+
+// discRPanels × discThetaPanels is the disc quadrature grid behind
+// every σ = 0 disc average; changing it changes every cv μ's bits.
+const discRPanels, discThetaPanels = 48, 24
 
 // CurvePoint is one D-sample of the Figure 4/5/9 throughput curves.
 type CurvePoint struct {

@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"math"
 
-	"carriersense/internal/geometry"
 	"carriersense/internal/montecarlo"
 	"carriersense/internal/numeric"
 )
@@ -50,27 +49,21 @@ func sigma0Factory(build func(m *Model, p pointParams) montecarlo.EvalFunc) mont
 	}
 }
 
-// avgCSQuad returns the σ = 0 carrier-sense mean and the (σ = 0
-// deterministic) deferral decision: with L″ pinned at 1 the threshold
-// comparison is a per-point constant, so CS throughput is exactly the
-// multiplexing or the concurrency disc average.
-func (m *Model) avgCSQuad(rmax, d, dThresh float64) (cs float64, defers bool) {
-	defers = 1 > m.ThresholdPower(dThresh)/m.pathGain(d)
-	if defers {
-		return m.AvgMuxQuad(rmax), true
-	}
-	return m.AvgConcQuad(rmax, d), false
-}
-
-// avgUBMaxQuad computes ⟨max(C_conc, C_mux)⟩ over receiver 1's disc
-// for σ = 0 — the per-receiver upper bound component, which depends
-// on receiver 1's placement only.
-func (m *Model) avgUBMaxQuad(rmax, d float64) float64 {
-	return numeric.DiscAverage(func(r, theta float64) float64 {
-		p := geometry.Polar(r, theta)
-		c := Config{D: d, X1: p.X, Y1: p.Y, LSig1: 1, LInt1: 1}
-		return math.Max(m.CConcurrent(c, 1), m.CSingle(c, 1)/2)
-	}, rmax, 48, 24)
+// concUBMaxQuad computes ⟨C_conc⟩ and ⟨max(C_conc, C_mux)⟩ over
+// receiver 1's disc for σ = 0 in one quadrature pass. Both depend on
+// receiver 1's placement only; each node evaluates the serving power
+// once and derives CConcurrent and CSingle from it with the exact
+// expressions of model.go, so each mean has the bits of its own
+// single-component pass.
+func (m *Model) concUBMaxQuad(rmax, d float64) (conc, ubMax float64) {
+	avg := numeric.DiscAverage(2, func(x, y float64, v []float64) {
+		c := Config{D: d, X1: x, Y1: y, LSig1: 1, LInt1: 1}
+		sig := m.SignalPower(c, 1)
+		conc := m.cap.Throughput(sig / (m.noise + m.InterferencePower(c, 1)))
+		v[0] = conc
+		v[1] = math.Max(conc, m.cap.Throughput(sig/m.noise)/2)
+	}, rmax, discRPanels, discThetaPanels)
+	return avg[0], avg[1]
 }
 
 func init() {
@@ -85,19 +78,21 @@ func init() {
 			}
 			means := make([]float64, nAverages)
 			single := m.AvgSingleQuad(p.Rmax)
+			conc, ubMax := m.concUBMaxQuad(p.Rmax, p.D)
 			means[idxSingle] = single
 			means[idxMux] = single / 2
-			means[idxConc] = m.AvgConcQuad(p.Rmax, p.D)
-			cs, defers := m.avgCSQuad(p.Rmax, p.D, p.DThresh)
-			means[idxCS] = cs
-			means[idxMax] = math.NaN() // depends on both placements: no 2-D quadrature
-			means[idxUBMax] = m.avgUBMaxQuad(p.Rmax, p.D)
-			means[idxStarved] = math.NaN() // discontinuous indicator: quadrature would bias
-			if defers {
+			means[idxConc] = conc
+			// With L″ pinned at 1 the deferral decision is a per-point
+			// constant, so CS throughput is exactly the multiplexing or
+			// the concurrency disc average.
+			means[idxCS] = conc
+			if 1 > m.ThresholdPower(p.DThresh)/m.pathGain(p.D) {
+				means[idxCS] = single / 2
 				means[idxDeferred] = 1
-			} else {
-				means[idxDeferred] = 0
 			}
+			means[idxMax] = math.NaN() // depends on both placements: no 2-D quadrature
+			means[idxUBMax] = ubMax
+			means[idxStarved] = math.NaN() // discontinuous indicator: quadrature would bias
 			return means, nil
 		},
 	})

@@ -3,10 +3,13 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 
+	"carriersense/internal/geometry"
 	"carriersense/internal/montecarlo"
+	"carriersense/internal/numeric"
 )
 
 func TestControlTwinsRegisteredForShadowedKernels(t *testing.T) {
@@ -62,37 +65,161 @@ func TestSigma0PilotIsExact(t *testing.T) {
 func TestTwinMeansMatchMonteCarlo(t *testing.T) {
 	// The quadrature means the pilot regresses against must agree with
 	// a Monte Carlo estimate of the twin integrand itself — a wrong μ
-	// would bias every cv result, not just inflate variance.
-	req, ok := AveragesRequest(Params{Alpha: 3, SigmaDB: 8, NoiseDB: DefaultNoiseDB},
-		55, 40, 55, 9, 4*montecarlo.ShardSize)
-	if !ok {
-		t.Fatal("averages kernel must be serializable")
-	}
-	m, p, err := sigma0Model(req.Params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	twin, err := montecarlo.RunRequest(context.Background(), montecarlo.Request{
-		Kernel: KernelAverages, Params: alterSigma(t, req.Params), Seed: 9,
-		Samples: 8 * montecarlo.ShardSize, Dim: req.Dim,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	means := []struct {
-		j    int
-		quad float64
-	}{
-		{idxSingle, m.AvgSingleQuad(p.Rmax)},
-		{idxConc, m.AvgConcQuad(p.Rmax, p.D)},
-		{idxUBMax, m.avgUBMaxQuad(p.Rmax, p.D)},
-	}
-	for _, c := range means {
-		est := twin[c.j].Estimate()
-		tol := 4*est.StdErr + 2e-3*math.Abs(c.quad)
-		if math.Abs(est.Mean-c.quad) > tol {
-			t.Errorf("component %d: quadrature %v vs σ=0 MC %v (stderr %v)", c.j, c.quad, est.Mean, est.StdErr)
+	// would bias every cv result, not just inflate variance. D = 40
+	// sits inside the R_max = 55 disc; D_thresh on either side of it
+	// covers both carrier-sense branches (multiplexing and concurrency).
+	env := Params{Alpha: 3, SigmaDB: 8, NoiseDB: DefaultNoiseDB}
+	for _, dThresh := range []float64{55, 20} {
+		req, ok := AveragesRequest(env, 55, 40, dThresh, 9, 4*montecarlo.ShardSize)
+		if !ok {
+			t.Fatal("averages kernel must be serializable")
 		}
+		avg, err := montecarlo.ControlTwinMeans(KernelAverages, req.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantDefer := dThresh > 40; (avg[idxDeferred] == 1) != wantDefer {
+			t.Fatalf("D_thresh %v: deferred mean %v, want defers=%v", dThresh, avg[idxDeferred], wantDefer)
+		}
+		pd, err := montecarlo.ControlTwinMeans(KernelPolicyDiff, req.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checks := []struct {
+			kernel string
+			dim    int
+			means  []float64
+			comps  []int
+		}{
+			{KernelAverages, nAverages, avg, []int{idxSingle, idxMux, idxConc, idxCS, idxUBMax, idxDeferred}},
+			{KernelPolicyDiff, 2, pd, []int{0, 1}},
+		}
+		for _, c := range checks {
+			twin, err := montecarlo.RunRequest(context.Background(), montecarlo.Request{
+				Kernel: c.kernel, Params: alterSigma(t, req.Params), Seed: 9,
+				Samples: 8 * montecarlo.ShardSize, Dim: c.dim,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range c.comps {
+				est := twin[j].Estimate()
+				tol := 4*est.StdErr + 2e-3*math.Abs(c.means[j])
+				if math.Abs(est.Mean-c.means[j]) > tol {
+					t.Errorf("%s D_thresh %v component %d: quadrature %v vs σ=0 MC %v (stderr %v)",
+						c.kernel, dThresh, j, c.means[j], est.Mean, est.StdErr)
+				}
+			}
+		}
+	}
+}
+
+// oracleDiscAverage is the scalar polar disc quadrature the fused
+// numeric.DiscAverage replaced, kept verbatim as a bit-identity
+// oracle: a θ-panel rule nested inside an r-panel rule.
+func oracleDiscAverage(f func(r, theta float64) float64, radius float64, rPanels, thetaPanels int) float64 {
+	inner := func(r float64) float64 {
+		g := func(theta float64) float64 { return f(r, theta) }
+		return r * numeric.GaussLegendre20Panels(g, 0, 2*math.Pi, thetaPanels)
+	}
+	integral := numeric.GaussLegendre20Panels(inner, 0, radius, rPanels)
+	return integral / (math.Pi * radius * radius)
+}
+
+func oracleAvgConcQuad(m *Model, rmax, d float64) float64 {
+	return oracleDiscAverage(func(r, theta float64) float64 {
+		p := geometry.Polar(r, theta)
+		c := Config{D: d, X1: p.X, Y1: p.Y, LSig1: 1, LInt1: 1}
+		return m.CConcurrent(c, 1)
+	}, rmax, 48, 24)
+}
+
+func oracleAvgUBMaxQuad(m *Model, rmax, d float64) float64 {
+	return oracleDiscAverage(func(r, theta float64) float64 {
+		p := geometry.Polar(r, theta)
+		c := Config{D: d, X1: p.X, Y1: p.Y, LSig1: 1, LInt1: 1}
+		return math.Max(m.CConcurrent(c, 1), m.CSingle(c, 1)/2)
+	}, rmax, 48, 24)
+}
+
+func oracleAvgCSQuad(m *Model, rmax, d, dThresh float64) (cs float64, defers bool) {
+	defers = 1 > m.ThresholdPower(dThresh)/m.pathGain(d)
+	if defers {
+		return m.AvgMuxQuad(rmax), true
+	}
+	return oracleAvgConcQuad(m, rmax, d), false
+}
+
+// oracleTwinMeans are the twins' μ vectors as the scalar quadratures
+// computed them: three disc passes for the averages twin.
+var oracleTwinMeans = map[string]func(m *Model, p pointParams) []float64{
+	KernelAverages: func(m *Model, p pointParams) []float64 {
+		means := make([]float64, nAverages)
+		single := m.AvgSingleQuad(p.Rmax)
+		means[idxSingle] = single
+		means[idxMux] = single / 2
+		means[idxConc] = oracleAvgConcQuad(m, p.Rmax, p.D)
+		cs, defers := oracleAvgCSQuad(m, p.Rmax, p.D, p.DThresh)
+		means[idxCS] = cs
+		means[idxMax] = math.NaN()
+		means[idxUBMax] = oracleAvgUBMaxQuad(m, p.Rmax, p.D)
+		means[idxStarved] = math.NaN()
+		if defers {
+			means[idxDeferred] = 1
+		}
+		return means
+	},
+	KernelSingle: func(m *Model, p pointParams) []float64 {
+		return []float64{m.AvgSingleQuad(p.Rmax)}
+	},
+	KernelPolicyDiff: func(m *Model, p pointParams) []float64 {
+		return []float64{oracleAvgConcQuad(m, p.Rmax, p.D), m.AvgSingleQuad(p.Rmax) / 2}
+	},
+}
+
+func TestTwinMeansBitIdenticalToScalarQuadrature(t *testing.T) {
+	// μ travels in Request.Control and the cache key, so the fused
+	// quadrature must reproduce the scalar one bit for bit. α = 3.5
+	// takes the math.Pow path gain, the others the integer path; the
+	// points put D inside and outside the disc and D_thresh on both
+	// sides of D.
+	points := []struct{ rmax, d, dThresh float64 }{
+		{10, 5, 55},    // inside, defers
+		{40, 20, 10},   // inside, concurrent
+		{20, 90, 120},  // outside, defers
+		{120, 300, 55}, // outside, concurrent
+	}
+	for _, alpha := range []float64{2, 3, 3.5, 4} {
+		t.Run(fmt.Sprintf("alpha=%v", alpha), func(t *testing.T) {
+			t.Parallel()
+			for _, pt := range points {
+				req, ok := AveragesRequest(Params{Alpha: alpha, SigmaDB: 8, NoiseDB: DefaultNoiseDB},
+					pt.rmax, pt.d, pt.dThresh, 1, 1)
+				if !ok {
+					t.Fatal("averages kernel must be serializable")
+				}
+				m, p, err := sigma0Model(req.Params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for kernel, oracle := range oracleTwinMeans {
+					got, err := montecarlo.ControlTwinMeans(kernel, req.Params)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := oracle(m, p)
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d means, oracle has %d", kernel, len(got), len(want))
+					}
+					for j := range want {
+						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+							t.Errorf("%+v %s component %d: %v, scalar quadrature %v",
+								pt, kernel, j, got[j], want[j])
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

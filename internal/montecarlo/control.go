@@ -135,6 +135,17 @@ func ControlTwinNames() []string {
 	return out
 }
 
+// ControlTwinMeans returns the exact μ vector a kernel's registered
+// twin supplies for params — the means PilotControl regresses
+// against and every cv request then carries in its ControlSpec.
+func ControlTwinMeans(kernel string, params json.RawMessage) ([]float64, error) {
+	t, err := lookupControlTwin(kernel)
+	if err != nil {
+		return nil, err
+	}
+	return t.Means(params)
+}
+
 func lookupControlTwin(kernel string) (ControlTwin, error) {
 	controlMu.RLock()
 	t, ok := controlTwins[kernel]

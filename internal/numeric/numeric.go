@@ -214,17 +214,80 @@ func GaussLegendre20Panels(f func(float64) float64, a, b float64, n int) float64
 	return sum
 }
 
-// DiscAverage computes the area-average of f(r, θ) over the disc of
-// the given radius by nested Gauss-Legendre quadrature (panels in r ×
-// panels in θ). This is the deterministic counterpart of the Monte
-// Carlo receiver average, used to cross-check the σ=0 results.
-func DiscAverage(f func(r, theta float64) float64, radius float64, rPanels, thetaPanels int) float64 {
-	inner := func(r float64) float64 {
-		g := func(theta float64) float64 { return f(r, theta) }
-		return r * GaussLegendre20Panels(g, 0, 2*math.Pi, thetaPanels)
+// DiscAverage computes the area-average of a dim-component integrand
+// over the disc of the given radius centred on the origin, by nested
+// Gauss-Legendre quadrature: rPanels panels in r × thetaPanels panels
+// in θ, 20 nodes each (a count < 1 clamps to 1, as in
+// GaussLegendre20Panels). f receives each node in Cartesian form
+// (x, y) = (r·cos θ, r·sin θ) and writes its dim values into v.
+//
+// It computes the σ = 0 disc means of the model: the exact μ of every
+// cv control-variate pilot (so its cost is the pilot's cost) and the
+// deterministic cross-checks of the Monte Carlo receiver averages.
+// The θ nodes do not depend on r, so their (sin, cos) pairs are
+// tabulated once per call. Each component is accumulated in the order
+// of the nested scalar rule — θ-panel sums × half-width, then r·, then
+// r-panel sums × half-width, then ÷ πR² — so it is bitwise equal to
+// the same component integrated alone.
+func DiscAverage(dim int, f func(x, y float64, v []float64), radius float64, rPanels, thetaPanels int) []float64 {
+	if rPanels < 1 {
+		rPanels = 1
 	}
-	integral := GaussLegendre20Panels(inner, 0, radius, rPanels)
-	return integral / (math.Pi * radius * radius)
+	if thetaPanels < 1 {
+		thetaPanels = 1
+	}
+	nodes := len(gl20x)
+	sin := make([]float64, thetaPanels*nodes)
+	cos := make([]float64, thetaPanels*nodes)
+	halfTheta := make([]float64, thetaPanels)
+	h := 2 * math.Pi / float64(thetaPanels)
+	for k := range halfTheta {
+		lo, hi := float64(k)*h, float64(k+1)*h
+		mid, half := (lo+hi)/2, (hi-lo)/2
+		halfTheta[k] = half
+		for j, x := range gl20x {
+			sin[k*nodes+j], cos[k*nodes+j] = math.Sincos(mid + half*x)
+		}
+	}
+
+	v := make([]float64, dim)          // f at one node
+	thetaPanel := make([]float64, dim) // Σ w·f over one θ panel
+	thetaSum := make([]float64, dim)   // the θ integral at one r
+	rPanel := make([]float64, dim)     // Σ w·r·(θ integral) over one r panel
+	total := make([]float64, dim)
+	h = radius / float64(rPanels)
+	for i := 0; i < rPanels; i++ {
+		lo, hi := float64(i)*h, float64(i+1)*h
+		mid, half := (lo+hi)/2, (hi-lo)/2
+		clear(rPanel)
+		for jr, xr := range gl20x {
+			r := mid + half*xr
+			clear(thetaSum)
+			for k, hk := range halfTheta {
+				clear(thetaPanel)
+				for j, w := range gl20w {
+					f(r*cos[k*nodes+j], r*sin[k*nodes+j], v)
+					for c, fc := range v {
+						thetaPanel[c] += w * fc
+					}
+				}
+				for c, s := range thetaPanel {
+					thetaSum[c] += s * hk
+				}
+			}
+			for c, s := range thetaSum {
+				rPanel[c] += gl20w[jr] * (r * s)
+			}
+		}
+		for c, s := range rPanel {
+			total[c] += s * half
+		}
+	}
+	area := math.Pi * radius * radius
+	for c := range total {
+		total[c] /= area
+	}
+	return total
 }
 
 // NelderMead minimizes f over R^n starting from x0 with initial simplex

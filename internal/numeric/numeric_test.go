@@ -102,21 +102,53 @@ func TestGaussLegendrePanels(t *testing.T) {
 	}
 }
 
+// discMoments is a five-component integrand with closed-form disc
+// averages over radius R: 1, x², y², x²+y², xy → 1, R²/4, R²/4, R²/2, 0.
+func discMoments(x, y float64, v []float64) {
+	v[0] = 1
+	v[1] = x * x
+	v[2] = y * y
+	v[3] = x*x + y*y
+	v[4] = x * y
+}
+
 func TestDiscAverage(t *testing.T) {
-	// Average of a constant is the constant.
-	got := DiscAverage(func(r, theta float64) float64 { return 7 }, 3, 8, 8)
-	if math.Abs(got-7) > 1e-9 {
-		t.Errorf("constant disc average = %v", got)
+	const radius = 5.0
+	want := []float64{1, radius * radius / 4, radius * radius / 4, radius * radius / 2, 0}
+	got := DiscAverage(len(want), discMoments, radius, 8, 6)
+	for c := range want {
+		if math.Abs(got[c]-want[c]) > 1e-12*radius*radius {
+			t.Errorf("component %d: disc average = %v, want %v", c, got[c], want[c])
+		}
 	}
-	// Average of r² over a disc of radius R is R²/2.
-	got = DiscAverage(func(r, theta float64) float64 { return r * r }, 5, 16, 8)
-	if math.Abs(got-12.5) > 1e-6 {
-		t.Errorf("r^2 disc average = %v, want 12.5", got)
+}
+
+func TestDiscAverageComponentsMatchScalarCalls(t *testing.T) {
+	// A component's sums never see another component's values, so a
+	// vector call must reproduce each 1-component call bit for bit.
+	vec := DiscAverage(5, discMoments, 3.5, 7, 5)
+	buf := make([]float64, 5)
+	for c := range vec {
+		one := DiscAverage(1, func(x, y float64, v []float64) {
+			discMoments(x, y, buf)
+			v[0] = buf[c]
+		}, 3.5, 7, 5)
+		if math.Float64bits(one[0]) != math.Float64bits(vec[c]) {
+			t.Errorf("component %d: vector %v vs scalar %v", c, vec[c], one[0])
+		}
 	}
-	// An angular-dependent integrand: average of cos²θ is 1/2.
-	got = DiscAverage(func(r, theta float64) float64 { return math.Cos(theta) * math.Cos(theta) }, 5, 8, 16)
-	if math.Abs(got-0.5) > 1e-6 {
-		t.Errorf("cos^2 disc average = %v, want 0.5", got)
+}
+
+func TestDiscAveragePanelClamp(t *testing.T) {
+	// Panel counts < 1 clamp to one panel, as in GaussLegendre20Panels.
+	one := DiscAverage(5, discMoments, 2, 1, 1)
+	for _, n := range [][2]int{{0, 1}, {1, 0}, {-3, -2}} {
+		got := DiscAverage(5, discMoments, 2, n[0], n[1])
+		for c := range one {
+			if math.Float64bits(got[c]) != math.Float64bits(one[c]) {
+				t.Errorf("panels %v component %d = %v, want the 1×1 value %v", n, c, got[c], one[c])
+			}
+		}
 	}
 }
 

@@ -196,7 +196,9 @@ func (a *AutoScheduler) saveTable() {
 // let a lane's easiest point erase the variance ranking that governs
 // its hardest ones. The variance term keeps the ranking honest
 // everywhere; the surcharge keeps a zero-variance cv candidate from
-// reading as free when a rival converges inside a cheaper probe.
+// reading as free when a rival converges inside a cheaper probe. It
+// prices the pilot's samples only: the pilot's exact twin means (one
+// disc quadrature per point, most of its CPU) have no sample count.
 func expectedCost(cand string, raw, target float64) float64 {
 	n := raw / (target * target)
 	if cand == CV {
