@@ -440,13 +440,13 @@ func BenchmarkControlTwinMeans(b *testing.B) {
 // BenchmarkDistributedVsLocal measures the distributed executor's
 // per-shard overhead against the in-process pool on the same
 // estimation (EstimateAverages, 40k samples ≈ 10 shards): shard
-// transport plus scheduling versus a plain RunShards sweep, on both
-// wire formats. Workers are in-process httptest servers, so the delta
-// is pure protocol cost with no network in the way — the floor any
-// real fleet adds to. Sub-benchmark names avoid a trailing fleet
+// transport plus scheduling versus a plain RunShards sweep. Workers
+// are in-process httptest servers, so the delta is pure protocol cost
+// with no network in the way — the floor any real fleet adds to. Sub-benchmark names avoid a trailing fleet
 // number (remote-2workers, not remote-workers-2) so the bench
 // baseline's GOMAXPROCS-suffix strip leaves each fleet size distinct
-// and BENCH_<date>.json rows diff per fleet and wire.
+// and BENCH_<date>.json rows diff per fleet; the /binary suffix keeps
+// the names of earlier snapshots' rows.
 func BenchmarkDistributedVsLocal(b *testing.B) {
 	m := core.New(core.DefaultParams())
 	const samples = 40_000
@@ -466,17 +466,15 @@ func BenchmarkDistributedVsLocal(b *testing.B) {
 			defer srv.Close()
 			hosts[i] = strings.TrimPrefix(srv.URL, "http://")
 		}
-		for _, wire := range []dist.Wire{dist.WireJSON, dist.WireBinary} {
-			remote, err := dist.NewRemote(hosts, dist.RemoteOptions{Wire: wire})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("remote-%dworkers/%s", fleet, wire), func(b *testing.B) {
-				montecarlo.SetExecutor(remote)
-				defer montecarlo.SetExecutor(nil)
-				run(b)
-			})
+		remote, err := dist.NewRemote(hosts)
+		if err != nil {
+			b.Fatal(err)
 		}
+		b.Run(fmt.Sprintf("remote-%dworkers/binary", fleet), func(b *testing.B) {
+			montecarlo.SetExecutor(remote)
+			defer montecarlo.SetExecutor(nil)
+			run(b)
+		})
 	}
 }
 

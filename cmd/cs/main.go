@@ -148,12 +148,10 @@ run/all flags:
   -max-samples N cap for -relerr growth (default: the scenario's own
                  per-point budget)
   -workers LIST  distribute Monte Carlo shards over cs serve workers
-                 (comma-separated host:port list); results are
-                 bit-identical to a local run at any fleet size
-  -wire MODE     shard transport with -workers: auto (default: binary
-                 streams, per-worker JSON fallback for old workers),
-                 json (force the HTTP/JSON wire), or binary (require
-                 the stream; workers that lack it are abandoned)
+                 (comma-separated host:port list) on persistent binary
+                 frame streams; results are bit-identical to a local
+                 run at any fleet size, and a worker that cannot speak
+                 this coordinator's stream protocol is abandoned
   -shard-timeout D
                  with -workers: re-dispatch a shard batch unanswered
                  for D (e.g. 30s) to another worker; 0 (default) lets
@@ -254,7 +252,6 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 	fs.Float64Var(&opts.RelErr, "relerr", 0, "grow per-point budgets until this relative standard error is met")
 	fs.IntVar(&opts.MaxSamples, "max-samples", 0, "per-point budget cap for -relerr (0 = the scenario's own budget)")
 	workers := fs.String("workers", "", "distribute shards over cs serve workers (host:port,host:port,...)")
-	wire := fs.String("wire", "auto", "shard transport with -workers: auto, json, or binary")
 	shardTimeout := fs.Duration("shard-timeout", 0, "re-dispatch a shard batch unanswered for this long (0 = no deadline)")
 	hedge := fs.Float64("hedge", 0, "with -workers: speculatively re-dispatch batches slower than this latency quantile (0 = off)")
 	readmitBase := fs.Duration("readmit-base", 0, "with -workers: base probe delay for readmitting dead workers (0 = default; negative = off)")
@@ -282,10 +279,6 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 		}
 		if opts.Parallel < 0 {
 			return cfg, fmt.Errorf("-parallel must be >= 1 (or 0 for the GOMAXPROCS default), got %d", opts.Parallel)
-		}
-		wireMode, err := dist.ParseWire(*wire)
-		if err != nil {
-			return cfg, err
 		}
 		if *shardTimeout < 0 {
 			return cfg, fmt.Errorf("-shard-timeout must be >= 0, got %v", *shardTimeout)
@@ -319,15 +312,12 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 			}
 			workerHosts = hosts
 			remote, err := dist.NewRemote(hosts, dist.RemoteOptions{
-				Wire: wireMode, ShardTimeout: *shardTimeout,
-				HedgeQuantile: *hedge, ReadmitBase: readmit,
+				ShardTimeout: *shardTimeout, HedgeQuantile: *hedge, ReadmitBase: readmit,
 			})
 			if err != nil {
 				return cfg, err
 			}
 			opts.Executor = remote
-		} else if wireMode != dist.WireAuto {
-			return cfg, fmt.Errorf("-wire requires -workers")
 		} else if *shardTimeout != 0 {
 			return cfg, fmt.Errorf("-shard-timeout requires -workers")
 		} else if *hedge != 0 {
@@ -379,15 +369,12 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 		// engine cannot see through the Executor interface, so the flag
 		// layer that assembled the chain reports it here.
 		opts.Exec = prov.ExecInfo{
+			Workers:  workerHosts,
 			Parallel: opts.Parallel,
 			Cache:    *useCache,
 			CacheDir: cfg.cacheDir,
 			Prefetch: cfg.prefetch,
 			Fault:    *faultSpec,
-		}
-		if len(workerHosts) > 0 {
-			opts.Exec.Workers = workerHosts
-			opts.Exec.Wire = *wire
 		}
 		return cfg, nil
 	}
@@ -858,10 +845,10 @@ func cmdServe(args []string) error {
 		}
 	}
 	// SIGINT/SIGTERM drain rather than kill: in-flight shard batches
-	// (JSON and stream alike) finish and deliver, streams close with a
-	// goodbye frame so coordinators re-dispatch cleanly, then Serve
-	// returns nil. A second signal falls through to the default
-	// handler and kills the process the old way.
+	// finish and deliver, streams close with a goodbye frame so
+	// coordinators re-dispatch cleanly, then Serve returns nil. A
+	// second signal falls through to the default handler and kills the
+	// process the old way.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	// Worker-side tracing: the coordinator's -trace timeline only shows
@@ -877,8 +864,8 @@ func cmdServe(args []string) error {
 	go func() { errc <- dist.Serve(ctx, *listen, ready) }()
 	select {
 	case addr := <-ready:
-		fmt.Fprintf(os.Stderr, "cs worker listening on %s (%d kernels; endpoints %s %s %s %s %s)\n",
-			addr, len(montecarlo.KernelNames()), dist.PathShards, dist.PathStream, dist.PathHealthz, dist.PathStats, dist.PathMetrics)
+		fmt.Fprintf(os.Stderr, "cs worker listening on %s (%d kernels; endpoints %s %s %s %s)\n",
+			addr, len(montecarlo.KernelNames()), dist.PathStream, dist.PathHealthz, dist.PathStats, dist.PathMetrics)
 	case err := <-errc:
 		return err
 	}

@@ -6,7 +6,8 @@
 //
 // The unit of work is one shard of montecarlo.PlanShards — a (kernel
 // name, params JSON, seed, sample budget, shard index) tuple — shipped
-// over HTTP/JSON to a worker started with `cs serve -listen :port`.
+// over a persistent binary frame stream to a worker started with
+// `cs serve -listen :port`.
 // Coordinator and workers are the same binary, so the kernel registry
 // resolves identically on both sides; determinism comes from the shard
 // plan being a pure function of (seed, samples) and from merging in

@@ -1,9 +1,10 @@
 package dist_test
 
 // The distributed executor's contract tests: bit-identical results at
-// any fleet size, failover when workers die mid-run, and fail-fast on
+// any fleet size, failover when workers are dead, and fail-fast on
 // protocol-level rejections. Workers are in-process httptest servers
-// running the same dist.Server a `cs serve` process would.
+// running the same dist.Server a `cs serve` process would. Mid-run
+// worker death is covered in stream_test.go.
 
 import (
 	"context"
@@ -11,7 +12,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,59 +100,6 @@ func TestRemoteBitIdenticalToLocalAtAnyFleetSize(t *testing.T) {
 	}
 }
 
-// flakyWorker serves shard jobs normally until its request budget
-// runs out, after which every connection is severed mid-request — the
-// closest an httptest server gets to kill -9 on a worker process.
-type flakyWorker struct {
-	inner    http.Handler
-	survives int64 // shard requests served before dying
-	served   atomic.Int64
-}
-
-func (f *flakyWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == dist.PathShards && f.served.Add(1) > f.survives {
-		panic(http.ErrAbortHandler)
-	}
-	f.inner.ServeHTTP(w, r)
-}
-
-func TestFailoverWorkerKilledMidRun(t *testing.T) {
-	req := testRequest(t, 9*montecarlo.ShardSize)
-	local, err := montecarlo.RunRequest(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := estimates(local)
-
-	// One healthy worker, one that dies after two shard batches.
-	flaky := &flakyWorker{inner: dist.NewServer(), survives: 2}
-	flakySrv := httptest.NewServer(flaky)
-	defer flakySrv.Close()
-	hosts := append(startWorkers(t, 1), strings.TrimPrefix(flakySrv.URL, "http://"))
-	// flakyWorker counts and aborts JSON shard POSTs; pin the wire so
-	// the death path is what this test exercises (stream_test.go covers
-	// mid-run death on the binary wire).
-	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{
-		BatchSize: 1, Concurrency: 1, HostFailLimit: 2, Wire: dist.WireJSON,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	accs, err := remote.EstimateVec(context.Background(), req)
-	if err != nil {
-		t.Fatalf("run with mid-flight worker death failed: %v", err)
-	}
-	if flaky.served.Load() <= 2 {
-		t.Fatalf("flaky worker served %d requests; test never exercised the death path", flaky.served.Load())
-	}
-	got := estimates(accs)
-	for j := range got {
-		if got[j] != want[j] {
-			t.Errorf("component %d after failover: %+v != local %+v", j, got[j], want[j])
-		}
-	}
-}
-
 func TestWorkerDeadFromTheStart(t *testing.T) {
 	req := testRequest(t, 3*montecarlo.ShardSize)
 	local, _ := montecarlo.RunRequest(context.Background(), req)
@@ -184,18 +131,11 @@ func TestDeadWorkerStaysAbandonedAcrossEstimations(t *testing.T) {
 	// lifetime: a scenario with many estimation points must pay the
 	// death-detection cost once, not re-probe the corpse at every
 	// point. (Default readmission probes /healthz in the background —
-	// readmit_test.go covers that path.)
-	flaky := &flakyWorker{inner: dist.NewServer(), survives: 0}
-	flakySrv := httptest.NewServer(flaky)
-	defer flakySrv.Close()
-	hosts := append(startWorkers(t, 1), strings.TrimPrefix(flakySrv.URL, "http://"))
-	// HostFailLimit 1 so the very first abort kills the host; with a
-	// higher limit the healthy worker can drain the queue while the
-	// flaky loop sits in its jittered retry backoff, ending the run
-	// before the limit is ever reached.
+	// readmit_test.go covers that path.) The flaky worker dies at its
+	// first batch, and HostFailLimit 1 makes that death final.
+	hosts, flakyBatches := dist.StartDyingPair(t, 0)
 	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{
-		BatchSize: 1, Concurrency: 1, HostFailLimit: 1, Wire: dist.WireJSON,
-		ReadmitBase: dist.ReadmitOff,
+		BatchSize: 1, Concurrency: 1, HostFailLimit: 1, ReadmitBase: dist.ReadmitOff,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,15 +144,15 @@ func TestDeadWorkerStaysAbandonedAcrossEstimations(t *testing.T) {
 	if _, err := remote.EstimateVec(context.Background(), req); err != nil {
 		t.Fatalf("first estimation: %v", err)
 	}
-	probes := flaky.served.Load()
+	probes := flakyBatches()
 	if probes == 0 {
-		t.Fatal("flaky worker was never probed; test setup broken")
+		t.Fatal("flaky worker was never sent a batch; the death path was never exercised")
 	}
 	if _, err := remote.EstimateVec(context.Background(), req); err != nil {
 		t.Fatalf("second estimation: %v", err)
 	}
-	if again := flaky.served.Load(); again != probes {
-		t.Errorf("dead worker re-probed: %d requests after first run, %d after second", probes, again)
+	if again := flakyBatches(); again != probes {
+		t.Errorf("dead worker re-probed: %d batches after first run, %d after second", probes, again)
 	}
 }
 
@@ -368,23 +308,6 @@ func TestHealthzAndStatsEndpoints(t *testing.T) {
 	}
 	if len(stats.Kernels) == 0 {
 		t.Error("stats reports no kernels")
-	}
-
-	// Malformed and invalid jobs are 400s, not 500s.
-	for _, body := range []string{
-		"{not json",
-		`{"kernel":"dist-test/vec","seed":1,"samples":4096,"dim":3,"indices":[9]}`,
-		`{"kernel":"dist-test/vec","seed":1,"samples":4096,"dim":3,"indices":[]}`,
-		`{"kernel":"dist-test/vec","seed":1,"samples":16384,"dim":3,"indices":[2,2]}`,
-	} {
-		resp, err := http.Post(srv.URL+dist.PathShards, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
-		}
-		resp.Body.Close()
 	}
 }
 

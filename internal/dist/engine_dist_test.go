@@ -91,21 +91,20 @@ func TestEngineRunDistributedBitIdentical(t *testing.T) {
 
 func TestEngineRunSurvivesWorkerDeathMidRun(t *testing.T) {
 	local := runScenario(t, nil)
-	flaky := &flakyWorker{inner: dist.NewServer(), survives: 3}
-	flakySrv := httptest.NewServer(flaky)
-	defer flakySrv.Close()
-	hosts := append(startWorkers(t, 1), strings.TrimPrefix(flakySrv.URL, "http://"))
-	// flakyWorker aborts JSON shard POSTs; pin the wire so the death
-	// path fires (binary-wire death is covered in stream_test.go).
+	// The scenario's first estimation has 4 shards, enough for the
+	// flaky worker to reach its death point (see StartDyingPair).
+	const survives = 1
+	hosts, flakyBatches := dist.StartDyingPair(t, survives)
 	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{
-		BatchSize: 1, Concurrency: 1, HostFailLimit: 2, Wire: dist.WireJSON,
+		BatchSize: 1, Concurrency: 1, HostFailLimit: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer remote.Close()
 	got := runScenario(t, remote)
-	if flaky.served.Load() <= 3 {
-		t.Fatalf("flaky worker served %d requests; death path not exercised", flaky.served.Load())
+	if n := flakyBatches(); n <= survives {
+		t.Fatalf("flaky worker saw %d batches; death path not exercised", n)
 	}
 	if got.Text != local.Text || !reflect.DeepEqual(got.Metrics, local.Metrics) {
 		t.Errorf("results after mid-run worker death differ from local:\n%v\nvs\n%v",

@@ -83,13 +83,14 @@ func TestInjectedTruncatedFrameIsRetried(t *testing.T) {
 }
 
 func TestInjectedRefusalsExhaustTheirBudget(t *testing.T) {
-	// refuse=2 severs the first two requests at the socket; the third
-	// attempt lands inside the default HostFailLimit and completes.
+	// refuse=2 severs the first two stream upgrades at the socket; the
+	// third attempt lands inside the default HostFailLimit and
+	// completes.
 	p := installFault(t, "w1:refuse=2", "w1")
 	req := testRequest(t, 2*montecarlo.ShardSize)
 	want := wantLocal(t, req)
 	remote, err := dist.NewRemote(startWorkers(t, 1), dist.RemoteOptions{
-		BatchSize: 1, Concurrency: 1, Wire: dist.WireJSON, ReadmitBase: dist.ReadmitOff,
+		BatchSize: 1, Concurrency: 1, ReadmitBase: dist.ReadmitOff,
 	})
 	if err != nil {
 		t.Fatal(err)

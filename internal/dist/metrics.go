@@ -1,7 +1,7 @@
 package dist
 
 // Registry handles for the distributed layer. Wire byte counters are
-// counted at the frame/body level on whichever side of the wire this
+// counted at the frame level on whichever side of the wire this
 // process is (the coordinator's tx is a worker's rx), so one metric
 // family serves both roles; which role a scrape is looking at is
 // determined by which process it scraped. Per-worker latency lives in
@@ -16,8 +16,6 @@ import (
 var (
 	mBatchesBinary = obs.Default().Counter("cs_dist_batches_total",
 		"Shard batches completed by wire format.", obs.Label{Key: "wire", Value: "binary"})
-	mBatchesJSON = obs.Default().Counter("cs_dist_batches_total",
-		"Shard batches completed by wire format.", obs.Label{Key: "wire", Value: "json"})
 	mRequeues = obs.Default().Counter("cs_dist_requeues_total",
 		"Shards returned to the dispatch queue after a worker failure.")
 	mShardTimeouts = obs.Default().Counter("cs_dist_shard_timeouts_total",
@@ -36,12 +34,6 @@ var (
 	mBytesBinaryRx = obs.Default().Counter("cs_dist_wire_bytes_total",
 		"Shard-protocol bytes moved, by wire format and direction.",
 		obs.Label{Key: "wire", Value: "binary"}, obs.Label{Key: "dir", Value: "rx"})
-	mBytesJSONTx = obs.Default().Counter("cs_dist_wire_bytes_total",
-		"Shard-protocol bytes moved, by wire format and direction.",
-		obs.Label{Key: "wire", Value: "json"}, obs.Label{Key: "dir", Value: "tx"})
-	mBytesJSONRx = obs.Default().Counter("cs_dist_wire_bytes_total",
-		"Shard-protocol bytes moved, by wire format and direction.",
-		obs.Label{Key: "wire", Value: "json"}, obs.Label{Key: "dir", Value: "rx"})
 )
 
 // Worker-side metrics. A Server keeps its own /stats atomics (tests
@@ -50,7 +42,7 @@ var (
 // for the /metrics scrape.
 var (
 	wRequests = obs.Default().Counter("cs_worker_requests_total",
-		"Shard batches received (JSON POSTs plus stream batch frames).")
+		"Shard batch frames received.")
 	wShards = obs.Default().Counter("cs_worker_shards_total",
 		"Shards evaluated for coordinators.")
 	wSamples = obs.Default().Counter("cs_worker_samples_total",

@@ -1,24 +1,16 @@
 package dist
 
-// The JSON wire protocol between coordinator and workers: plain
-// HTTP/JSON, one POST per shard batch. It is the fallback wire — the
-// coordinator prefers the binary frame stream (frame.go, stream.go)
-// and negotiates down to this per worker when the upgrade is refused.
-// On both wires, accumulator states travel as IEEE-754 bit patterns
+// Protocol constants shared by coordinator and workers. Shards travel
+// over the binary frame stream (frame.go, stream.go); accumulator
+// states cross it as IEEE-754 bit patterns
 // (montecarlo.AccumulatorState), so a state that crosses the wire is
 // the state that was computed — no printf rounding anywhere in the
 // distributed merge.
 
-import (
-	"fmt"
-
-	"carriersense/internal/montecarlo"
-)
+import "fmt"
 
 // Endpoint paths served by every worker.
 const (
-	// PathShards accepts a ShardJob POST and returns a ShardResponse.
-	PathShards = "/v1/shards"
 	// PathHealthz reports liveness.
 	PathHealthz = "/healthz"
 	// PathStats reports cumulative worker statistics.
@@ -27,48 +19,26 @@ const (
 	PathMetrics = "/metrics"
 )
 
-// ProtoVersion is the shard wire protocol version. Bump it whenever a
-// ShardJob gains meaning an older binary would *silently mis-serve*
-// rather than reject — version 2 added Sampler and FirstShard, which a
-// version-1 worker's JSON decoder ignores, returning plain-sampler
-// full-plan accumulators that merge cleanly into wrong results.
-// Version 3 added the control-variate spec (Request.Control): a
-// version-2 worker would drop the coefficients and return unadjusted
-// accumulators under the adjusted request's identity. Both sides
-// enforce it: workers reject jobs carrying a different version, and
-// the coordinator rejects responses that do not echo it, so a
-// mixed-version fleet fails loudly instead of corrupting the
-// determinism contract.
+// ProtoVersion is the shard wire protocol version, carried by both
+// hello frames. Bump it whenever a request gains meaning an older
+// binary would *silently mis-serve* rather than reject — version 2
+// added Sampler and FirstShard, which a version-1 worker's JSON
+// decoder ignores, returning plain-sampler full-plan accumulators that
+// merge cleanly into wrong results. Version 3 added the
+// control-variate spec (Request.Control): a version-2 worker would
+// drop the coefficients and return unadjusted accumulators under the
+// adjusted request's identity. Both sides enforce it at the hello: a
+// worker echoes its own version and closes on a mismatch, and the
+// coordinator abandons a worker whose echo differs, so a mixed-version
+// fleet fails loudly instead of corrupting the determinism contract.
 const ProtoVersion = 3
-
-// ShardJob is one batch of shard work: the full estimation identity
-// (the embedded montecarlo.Request, whose fields flatten into the
-// JSON) plus the shard indices this worker should evaluate. Any
-// duplicate-free subset of the plan's indices is valid, which is what
-// lets the coordinator re-dispatch a dead worker's shards elsewhere.
-type ShardJob struct {
-	montecarlo.Request
-	Proto   int   `json:"proto"`
-	Indices []int `json:"indices"`
-}
-
-// Validate checks the batch against the shard plan it references.
-func (j ShardJob) Validate() error {
-	if j.Proto != ProtoVersion {
-		return fmt.Errorf("dist: shard job protocol version %d, this worker speaks %d (mixed-version fleet?)", j.Proto, ProtoVersion)
-	}
-	if err := j.Request.Validate(); err != nil {
-		return err
-	}
-	return validateIndices(j.Indices, j.FirstShard, montecarlo.ShardCount(j.Samples))
-}
 
 // validateIndices checks a shard batch for range and duplicates on the
 // worker hot path. Dup detection is a bitset sized by the shard count
 // — one word per 64 shards instead of a map allocation per batch.
 func validateIndices(indices []int, first, count int) error {
 	if len(indices) == 0 {
-		return fmt.Errorf("dist: shard job has no indices")
+		return fmt.Errorf("dist: shard batch has no indices")
 	}
 	seen := make([]uint64, (count+63)/64)
 	for _, idx := range indices {
@@ -83,27 +53,11 @@ func validateIndices(indices []int, first, count int) error {
 	return nil
 }
 
-// ShardResult is one evaluated shard: its index and one accumulator
-// state per component.
-type ShardResult struct {
-	Index int                           `json:"index"`
-	Accs  []montecarlo.AccumulatorState `json:"accs"`
-}
-
-// ShardResponse is the worker's answer to a ShardJob, one result per
-// requested index. Proto echoes the worker's protocol version; a
-// missing echo unmasks a pre-versioning worker that would otherwise
-// silently mis-serve current jobs.
-type ShardResponse struct {
-	Proto   int           `json:"proto"`
-	Results []ShardResult `json:"results"`
-}
-
-// Stats is the /stats payload. Requests counts JSON shard POSTs plus
-// binary stream batches; Streams and StreamBatches break out the
-// binary wire's share. InflightBatches and Draining expose the
-// worker's live state so a smoke test can assert graceful-drain
-// behavior instead of inferring it from log lines.
+// Stats is the /stats payload. Requests counts shard batches received;
+// Streams counts accepted streams and StreamBatches the batch frames
+// they carried, so Requests equals StreamBatches. InflightBatches and
+// Draining expose the worker's live state so a smoke test can assert
+// graceful-drain behavior instead of inferring it from log lines.
 type Stats struct {
 	UptimeSeconds   float64  `json:"uptime_seconds"`
 	Requests        int64    `json:"requests"`

@@ -92,6 +92,11 @@ func (r *Remote) probeLoop(h *hostState) {
 	}
 }
 
+// probeClient carries the readmission probes. Probes are seconds
+// apart, so connections are not kept alive between them; each probe's
+// context bounds its dial and round trip.
+var probeClient = &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+
 // probeHealthz is one readmission probe: anything but a 200 /healthz
 // keeps the worker dead (a draining worker's 503 lands here).
 func (r *Remote) probeHealthz(h *hostState) error {
@@ -101,7 +106,7 @@ func (r *Remote) probeHealthz(h *hostState) error {
 	if err != nil {
 		return err
 	}
-	resp, err := r.opt.Client.Do(req)
+	resp, err := probeClient.Do(req)
 	if err != nil {
 		return err
 	}

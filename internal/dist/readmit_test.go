@@ -8,6 +8,7 @@ package dist_test
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -23,19 +24,28 @@ import (
 // process, as seen from the coordinator — and serves normally once
 // healed.
 type healingWorker struct {
-	inner   http.Handler
+	inner   *dist.Server
 	healthy atomic.Bool
-	shards  atomic.Int64 // shard requests served while healthy
 }
 
 func (hw *healingWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if !hw.healthy.Load() {
 		panic(http.ErrAbortHandler)
 	}
-	if r.URL.Path == dist.PathShards {
-		hw.shards.Add(1)
-	}
 	hw.inner.ServeHTTP(w, r)
+}
+
+// shards reads the shards evaluated so far from the inner server's
+// /stats, bypassing the sickness that severs outside requests.
+func (hw *healingWorker) shards(t *testing.T) int64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	hw.inner.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, dist.PathStats, nil))
+	var st dist.Stats
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("inner /stats: %v", err)
+	}
+	return st.Shards
 }
 
 func mustIdentical(t *testing.T, accs []montecarlo.Accumulator, want []montecarlo.Estimate, what string) {
@@ -61,7 +71,7 @@ func TestDeadWorkerReadmittedAfterHeal(t *testing.T) {
 	defer srv.Close()
 	hosts := append(startWorkers(t, 1), strings.TrimPrefix(srv.URL, "http://"))
 	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{
-		BatchSize: 1, Concurrency: 1, HostFailLimit: 1, Wire: dist.WireJSON,
+		BatchSize: 1, Concurrency: 1, HostFailLimit: 1,
 		ReadmitBase: 10 * time.Millisecond,
 	})
 	if err != nil {
@@ -76,15 +86,15 @@ func TestDeadWorkerReadmittedAfterHeal(t *testing.T) {
 		t.Fatalf("estimation with a sick worker failed: %v", err)
 	}
 	mustIdentical(t, accs, want, "sick-worker run")
-	if hw.shards.Load() != 0 {
-		t.Fatalf("sick worker served %d shard requests; test setup broken", hw.shards.Load())
+	if n := hw.shards(t); n != 0 {
+		t.Fatalf("sick worker evaluated %d shards; test setup broken", n)
 	}
 
 	// Heal. The background probe should move the worker to half-open,
 	// and a subsequent estimation should route real work through it.
 	hw.healthy.Store(true)
 	deadline := time.Now().Add(10 * time.Second)
-	for hw.shards.Load() == 0 {
+	for hw.shards(t) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("healed worker was never readmitted to the fleet")
 		}
@@ -97,20 +107,6 @@ func TestDeadWorkerReadmittedAfterHeal(t *testing.T) {
 	}
 }
 
-// slowWorker delays every shard request so a run lasts long enough for
-// mid-run events to land inside it.
-type slowWorker struct {
-	inner http.Handler
-	delay time.Duration
-}
-
-func (sw *slowWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == dist.PathShards {
-		time.Sleep(sw.delay)
-	}
-	sw.inner.ServeHTTP(w, r)
-}
-
 func TestReadmittedWorkerJoinsRunInFlight(t *testing.T) {
 	req := testRequest(t, 36*montecarlo.ShardSize)
 	local, err := dist.Local{}.EstimateVec(context.Background(), req)
@@ -119,16 +115,20 @@ func TestReadmittedWorkerJoinsRunInFlight(t *testing.T) {
 	}
 	want := estimates(local)
 
-	slow := httptest.NewServer(&slowWorker{inner: dist.NewServer(), delay: 20 * time.Millisecond})
-	defer slow.Close()
+	// A slow worker delays every batch so the run lasts long enough
+	// for the readmission to land inside it.
+	slow := dist.StartGatedWorker(t, func(int64) bool {
+		time.Sleep(20 * time.Millisecond)
+		return true
+	})
 	hw := &healingWorker{inner: dist.NewServer()}
 	hwSrv := httptest.NewServer(hw)
 	defer hwSrv.Close()
 
 	remote, err := dist.NewRemote(
-		[]string{strings.TrimPrefix(slow.URL, "http://"), strings.TrimPrefix(hwSrv.URL, "http://")},
+		[]string{slow, strings.TrimPrefix(hwSrv.URL, "http://")},
 		dist.RemoteOptions{
-			BatchSize: 1, Concurrency: 1, HostFailLimit: 1, Wire: dist.WireJSON,
+			BatchSize: 1, Concurrency: 1, HostFailLimit: 1,
 			ReadmitBase: 10 * time.Millisecond,
 		})
 	if err != nil {
@@ -147,26 +147,9 @@ func TestReadmittedWorkerJoinsRunInFlight(t *testing.T) {
 		t.Fatalf("estimation with mid-run readmission failed: %v", err)
 	}
 	mustIdentical(t, accs, want, "mid-run readmission")
-	if hw.shards.Load() == 0 {
+	if hw.shards(t) == 0 {
 		t.Error("readmitted worker served no shards in the run it rejoined")
 	}
-}
-
-// stallingWorker serves normally until stalled, after which shard
-// requests block on the gate — a wedged-but-connected worker.
-type stallingWorker struct {
-	inner   http.Handler
-	stall   atomic.Bool
-	gate    chan struct{}
-	stalled atomic.Int64
-}
-
-func (gw *stallingWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == dist.PathShards && gw.stall.Load() {
-		gw.stalled.Add(1)
-		<-gw.gate
-	}
-	gw.inner.ServeHTTP(w, r)
 }
 
 func TestHedgingCompletesAroundWedgedStraggler(t *testing.T) {
@@ -177,14 +160,23 @@ func TestHedgingCompletesAroundWedgedStraggler(t *testing.T) {
 	}
 	want := estimates(local)
 
-	gw := &stallingWorker{inner: dist.NewServer(), gate: make(chan struct{})}
-	srv := httptest.NewServer(gw)
-	t.Cleanup(srv.Close)
-	t.Cleanup(func() { close(gw.gate) }) // unblock before srv.Close waits on handlers
+	// A straggler that serves normally until stalled, after which its
+	// batches block on the gate — a wedged-but-connected worker.
+	var stall atomic.Bool
+	var stalled atomic.Int64
+	gate := make(chan struct{})
+	straggler := dist.StartGatedWorker(t, func(int64) bool {
+		if stall.Load() {
+			stalled.Add(1)
+			<-gate
+		}
+		return true
+	})
+	t.Cleanup(func() { close(gate) }) // release the wedged stream goroutine
 
-	hosts := append(startWorkers(t, 1), strings.TrimPrefix(srv.URL, "http://"))
+	hosts := append(startWorkers(t, 1), straggler)
 	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{
-		BatchSize: 1, Concurrency: 1, Wire: dist.WireJSON,
+		BatchSize: 1, Concurrency: 1,
 		HedgeQuantile: 0.9, ReadmitBase: dist.ReadmitOff,
 	})
 	if err != nil {
@@ -202,7 +194,7 @@ func TestHedgingCompletesAroundWedgedStraggler(t *testing.T) {
 	// Wedge one worker and re-run: it claims a batch and never answers.
 	// Without hedging this run blocks until the gate opens; with it, the
 	// healthy worker duplicates the overdue batch and finishes the run.
-	gw.stall.Store(true)
+	stall.Store(true)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -218,7 +210,7 @@ func TestHedgingCompletesAroundWedgedStraggler(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("hedged run did not complete while the straggler stayed wedged")
 	}
-	if gw.stalled.Load() == 0 {
+	if stalled.Load() == 0 {
 		t.Fatal("straggler never wedged; test exercised nothing")
 	}
 }

@@ -8,25 +8,19 @@ package dist
 // accumulators are stored by index and merged in shard order once
 // every shard has been evaluated somewhere.
 //
-// Transport is negotiated per worker. The preferred wire is the
-// binary shard stream (frame.go/stream.go): one persistent upgraded
-// connection per worker carrying the estimation identity once and
-// then pipelined batch/result frames, so the worker always has the
-// next batch in its socket buffer while evaluating the current one
-// and never starves on a round trip. A worker that refuses the
-// upgrade — an older binary — is served over the original HTTP/JSON
-// wire instead, per connection, so a mixed fleet degrades instead of
-// failing.
+// The transport is the binary shard stream (frame.go/stream.go): one
+// persistent upgraded connection per worker carrying the estimation
+// identity once and then pipelined batch/result frames, so the worker
+// always has the next batch in its socket buffer while evaluating the
+// current one and never starves on a round trip. A worker that refuses
+// the upgrade, or whose hello carries another protocol version, is
+// abandoned with its cause named.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"net/http"
 	"strconv"
 	"strings"
 	"sync"
@@ -42,10 +36,9 @@ const (
 	// large enough to amortize the per-batch round trip (a shard is
 	// 4096 samples), small enough that failover loses little work.
 	DefaultBatchSize = 8
-	// DefaultConcurrency is the pipeline depth per worker: in-flight
-	// requests on the JSON wire, unanswered batch frames on the binary
-	// stream. Either way it covers transport latency while the worker
-	// computes.
+	// DefaultConcurrency is the pipeline depth per worker: unanswered
+	// batch frames on its stream, covering transport latency while the
+	// worker computes.
 	DefaultConcurrency = 2
 	// DefaultHostFailLimit is the number of consecutive transport
 	// failures after which a worker is declared dead and abandoned.
@@ -96,57 +89,34 @@ const (
 	loopDrainGrace = 50 * time.Millisecond
 )
 
-// Wire selects the shard transport.
+// Wire once selected the shard transport.
+//
+// Deprecated: the binary shard stream is the only transport, so there
+// is nothing to select. Wire and WireBinary remain only so existing
+// callers of RemoteOptions.Wire still compile.
 type Wire int
 
-const (
-	// WireAuto (the default) uses the binary stream with workers that
-	// speak it and falls back to HTTP/JSON per worker otherwise.
-	WireAuto Wire = iota
-	// WireJSON forces the HTTP/JSON wire for every worker.
-	WireJSON
-	// WireBinary requires the binary stream: a worker that cannot
-	// speak it is abandoned instead of negotiated down.
-	WireBinary
-)
-
-// String implements fmt.Stringer (the -wire flag values).
-func (w Wire) String() string {
-	switch w {
-	case WireJSON:
-		return "json"
-	case WireBinary:
-		return "binary"
-	}
-	return "auto"
-}
-
-// ParseWire parses a -wire flag value.
-func ParseWire(s string) (Wire, error) {
-	switch s {
-	case "", "auto":
-		return WireAuto, nil
-	case "json":
-		return WireJSON, nil
-	case "binary":
-		return WireBinary, nil
-	}
-	return 0, fmt.Errorf("dist: unknown wire %q (want auto, json, or binary)", s)
-}
+// WireBinary names the binary shard stream.
+//
+// Deprecated: see Wire.
+const WireBinary Wire = 2
 
 // RemoteOptions tune a Remote executor. The zero value of every field
 // selects a default.
 type RemoteOptions struct {
-	Client    *http.Client // JSON transport; nil builds one with sane timeouts
-	BatchSize int          // shards per request (default DefaultBatchSize)
+	BatchSize int // shards per batch frame (default DefaultBatchSize)
 	// MaxAttempts is the per-shard attempt budget across the whole
 	// fleet before the run fails. 0 scales with the fleet:
 	// (HostFailLimit+Concurrency)·workers + 1, so a shard can survive
 	// every worker dying around it and still get a clean attempt.
 	MaxAttempts   int
-	Concurrency   int  // pipeline depth per worker (default DefaultConcurrency)
-	HostFailLimit int  // consecutive failures before a worker is dead (default DefaultHostFailLimit)
-	Wire          Wire // transport selection (default WireAuto)
+	Concurrency   int // pipeline depth per worker (default DefaultConcurrency)
+	HostFailLimit int // consecutive failures before a worker is dead (default DefaultHostFailLimit)
+	// Wire is ignored.
+	//
+	// Deprecated: the binary shard stream is the only transport; see
+	// Wire.
+	Wire Wire
 	// ShardTimeout, when > 0, bounds how long a dispatched shard batch
 	// may stay unanswered before it is re-dispatched to another worker
 	// (the original worker is charged a transport failure). 0 leaves
@@ -174,13 +144,11 @@ type RemoteOptions struct {
 }
 
 // Remote is an Executor that distributes shard evaluation over a fleet
-// of `cs serve` workers. Safe for concurrent use. Worker health and
-// negotiated wire persist across estimations: a worker declared dead
-// is probed for readmission in the background (unless ReadmitOff) and
-// rejoins even mid-estimation, and a worker that negotiated down to
-// JSON is not re-probed per estimation. Binary streams are pooled per
-// worker, so consecutive estimations reuse connections instead of
-// re-handshaking.
+// of `cs serve` workers. Safe for concurrent use. Worker health
+// persists across estimations: a worker declared dead is probed for
+// readmission in the background (unless ReadmitOff) and rejoins even
+// mid-estimation. Streams are pooled per worker, so consecutive
+// estimations reuse connections instead of re-handshaking.
 type Remote struct {
 	hosts []*hostState
 	opt   RemoteOptions
@@ -233,19 +201,6 @@ func NewRemote(hosts []string, opts ...RemoteOptions) (*Remote, error) {
 	}
 	if opt.HedgeQuantile < 0 || opt.HedgeQuantile >= 1 {
 		return nil, fmt.Errorf("dist: hedge quantile must be in [0, 1), got %g", opt.HedgeQuantile)
-	}
-	if opt.Client == nil {
-		// No overall request timeout: a shard batch legitimately takes
-		// as long as its kernel does (minutes at -scale full), and a
-		// deadline here would misread slow computation as worker death.
-		// Dead hosts are still detected quickly via the dial timeout,
-		// canceling the run's context aborts in-flight requests, and
-		// ShardTimeout (when set) re-dispatches wedged batches.
-		opt.Client = &http.Client{
-			Transport: &http.Transport{
-				DialContext: (&net.Dialer{Timeout: dialTimeout}).DialContext,
-			},
-		}
 	}
 	r := &Remote{opt: opt, active: map[*dispatch]*runState{}, closed: make(chan struct{})}
 	for i, h := range hosts {
@@ -449,7 +404,7 @@ func (d *dispatch) armHedgeTimerLocked(in time.Duration) {
 
 // markInflight registers a dispatched batch for hedging. No-op unless
 // hedging is armed. Called after the batch is claimed and definitely
-// going out on the wire (post-push on streams, pre-POST on JSON).
+// going out on the wire (after the stream's push).
 func (d *dispatch) markInflight(indices []int, worker string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -559,8 +514,8 @@ func (d *dispatch) requeue(indices []int, maxAttempts int, worker string, cause 
 }
 
 // unclaim returns a claimed-but-never-dispatched batch to the queue
-// without charging attempts (wire renegotiation, a reader that stopped
-// before the batch went out).
+// without charging attempts (a stream whose request frame failed, or
+// whose reader stopped before the batch went out).
 func (d *dispatch) unclaim(indices []int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -735,8 +690,7 @@ const (
 )
 
 // hostState is the shared health of one worker across estimations.
-// A negotiated-down wire is permanent for the Remote's lifetime;
-// death is not — the readmission loop may heal it.
+// Death is not permanent: the readmission loop may heal it.
 type hostState struct {
 	url          string
 	tid          int            // tracer lane (obs.TidRemoteBase + fleet position)
@@ -746,8 +700,7 @@ type hostState struct {
 	health       hostHealth
 	probing      bool          // a probe loop goroutine is live for this host
 	probeRound   int           // failed probe cycles since last healthy (backoff exponent)
-	jsonOnly     bool          // negotiated down: worker refused the binary stream
-	idle         []*streamConn // pooled binary streams, reused across estimations
+	idle         []*streamConn // pooled streams, reused across estimations
 }
 
 // markDead declares the host unusable, closes its pooled streams, and
@@ -779,14 +732,10 @@ func (r *Remote) markDead(h *hostState) {
 
 // observeBatch records one completed batch's dispatch→result latency
 // on the worker's histogram and, when tracing, a span on its lane.
-func (h *hostState) observeBatch(wire string, sent time.Time, shards int) {
+func (h *hostState) observeBatch(sent time.Time, shards int) {
 	elapsed := time.Since(sent)
 	h.batchSeconds.Observe(elapsed.Seconds())
-	if wire == "binary" {
-		mBatchesBinary.Inc()
-	} else {
-		mBatchesJSON.Inc()
-	}
+	mBatchesBinary.Inc()
 	if tr := obs.CurrentTracer(); tr != nil {
 		tr.NameThread(h.tid, "worker "+h.url)
 		start := tr.Now() - elapsed
@@ -794,7 +743,7 @@ func (h *hostState) observeBatch(wire string, sent time.Time, shards int) {
 			start = 0
 		}
 		tr.Span("batch", "dist", h.tid, start,
-			map[string]any{"shards": shards, "wire": wire, "worker": h.url})
+			map[string]any{"shards": shards, "worker": h.url})
 	}
 }
 
@@ -857,7 +806,7 @@ func (h *hostState) noteSuccess() {
 	}
 }
 
-// acquireStream pops a pooled binary stream or dials a fresh one.
+// acquireStream pops a pooled stream or dials a fresh one.
 func (r *Remote) acquireStream(ctx context.Context, h *hostState) (*streamConn, error) {
 	h.mu.Lock()
 	if n := len(h.idle); n > 0 {
@@ -883,34 +832,29 @@ func (r *Remote) releaseStream(h *hostState, sc *streamConn) {
 	sc.close()
 }
 
-// fatalStatusError marks a worker response that retrying on the same
-// worker cannot cure (it understood the request and rejected it); the
-// worker is abandoned and the rest of the fleet takes over.
+// fatalStatusError marks a worker answer that retrying on the same
+// worker cannot cure: it refused the stream upgrade, spoke another
+// protocol version, or understood a batch and rejected it. The worker
+// is abandoned and the rest of the fleet takes over.
 type fatalStatusError struct{ msg string }
 
 func (e *fatalStatusError) Error() string { return e.msg }
 
-// hostLoop drives one worker for the duration of one estimation:
-// negotiate the wire, then pump batches until the plan drains or the
-// host dies. Stream establishment happens after claiming a batch, so
-// a dead host burns shard attempts (bounded by MaxAttempts) rather
-// than spinning on dials.
+// hostLoop drives one worker for the duration of one estimation: pump
+// batches through its stream until the plan drains or the host dies.
+// Stream establishment happens after claiming a batch, so a dead host
+// burns shard attempts (bounded by MaxAttempts) rather than spinning
+// on dials.
 func (r *Remote) hostLoop(ctx context.Context, h *hostState, req montecarlo.Request, d *dispatch) {
 	var lastErr error
 	defer func() { d.loopExited(h.url, lastErr) }()
 	for {
 		h.mu.Lock()
-		dead, jsonOnly := h.health == hostDead, h.jsonOnly
+		dead := h.health == hostDead
 		h.mu.Unlock()
 		if dead {
 			if lastErr == nil {
 				lastErr = fmt.Errorf("worker declared dead")
-			}
-			return
-		}
-		if r.opt.Wire == WireJSON || jsonOnly {
-			if err := r.jsonHostLoop(ctx, h, req, d); err != nil {
-				lastErr = err
 			}
 			return
 		}
@@ -920,24 +864,12 @@ func (r *Remote) hostLoop(ctx context.Context, h *hostState, req montecarlo.Requ
 		}
 		sc, err := r.acquireStream(ctx, h)
 		if err != nil {
-			if errors.As(err, new(*fatalStatusError)) || errors.Is(err, errNoBinary) && r.opt.Wire == WireBinary {
-				lastErr = err
-				d.requeue(batch, r.opt.MaxAttempts, h.url, fmt.Errorf("worker %s: %w", h.url, err))
+			lastErr = err
+			d.requeue(batch, r.opt.MaxAttempts, h.url, fmt.Errorf("worker %s: %w", h.url, err))
+			if errors.As(err, new(*fatalStatusError)) {
 				r.markDead(h)
 				return
 			}
-			if errors.Is(err, errNoBinary) {
-				// Negotiate down: this worker speaks JSON only. The
-				// claimed batch goes back uncharged — nothing was
-				// dispatched.
-				h.mu.Lock()
-				h.jsonOnly = true
-				h.mu.Unlock()
-				d.unclaim(batch)
-				continue
-			}
-			lastErr = err
-			d.requeue(batch, r.opt.MaxAttempts, h.url, fmt.Errorf("worker %s: %w", h.url, err))
 			if r.countFailure(h) {
 				return
 			}
@@ -980,7 +912,11 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 // (claims batches, sends frames) and its reader (matches result
 // frames FIFO, completes shards). Pipelining lives here: up to
 // `window` batches may be pushed-and-sent before the first result is
-// read, so the worker's socket always holds the next batch.
+// read, so the worker's socket always holds the next batch. The writer
+// claims a batch only once the window has room for it, so every batch
+// off the shared queue is either on the wire (where hedging and
+// requeues can see it) or about to be; none waits, claimed but unsent,
+// behind a wedged one.
 type streamRun struct {
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -1003,15 +939,23 @@ func newStreamRun(conn net.Conn, timeout time.Duration) *streamRun {
 	return st
 }
 
-// push waits for pipeline room and registers a batch as in-flight.
-// The registration happens before the frame is written, so a result
-// can never arrive for a batch the reader does not know about. Returns
-// false when the reader has stopped.
-func (st *streamRun) push(b []int, window int) bool {
+// waitRoom blocks until the pipeline has room for another batch.
+// Returns false when the reader has stopped.
+func (st *streamRun) waitRoom(window int) bool {
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	for len(st.fifo) >= window && !st.stopped {
 		st.cond.Wait()
 	}
+	return !st.stopped
+}
+
+// push registers a batch as in-flight. The registration happens before
+// the frame is written, so a result can never arrive for a batch the
+// reader does not know about. Returns false when the reader has
+// stopped.
+func (st *streamRun) push(b []int) bool {
+	st.mu.Lock()
 	if st.stopped {
 		st.mu.Unlock()
 		return false
@@ -1082,7 +1026,7 @@ func (st *streamRun) finishWriter(err error, wake net.Conn) {
 	_ = wake.SetReadDeadline(time.Now())
 }
 
-// runStream pumps one estimation through one binary stream: the
+// runStream pumps one estimation through one stream: the
 // request identity once, then pipelined batches. Returns nil when the
 // dispatch queue drained (the stream goes back to the pool), or an
 // error after requeueing everything still in flight.
@@ -1101,10 +1045,10 @@ func (r *Remote) runStream(ctx context.Context, h *hostState, sc *streamConn, re
 		return fmt.Errorf("worker %s: send request: %w", h.url, err)
 	}
 
-	go func() { // writer: claim → register in-flight → send
+	go func() { // writer: wait for room → claim → register in-flight → send
 		batch := first
 		for {
-			if !st.push(batch, r.opt.Concurrency) {
+			if !st.push(batch) {
 				d.unclaim(batch) // reader stopped before this went out
 				st.finishWriter(nil, sc.conn)
 				return
@@ -1112,6 +1056,10 @@ func (r *Remote) runStream(ctx context.Context, h *hostState, sc *streamConn, re
 			d.markInflight(batch, h.url) // hedging sees it once it is going out
 			if err := sc.sendBatch(reqID, batch); err != nil {
 				st.finishWriter(fmt.Errorf("worker %s: send batch: %w", h.url, err), sc.conn)
+				return
+			}
+			if !st.waitRoom(r.opt.Concurrency) {
+				st.finishWriter(nil, sc.conn)
 				return
 			}
 			batch = d.next(r.opt.BatchSize, h.url)
@@ -1123,8 +1071,8 @@ func (r *Remote) runStream(ctx context.Context, h *hostState, sc *streamConn, re
 	}()
 
 	// abort requeues everything in flight and reports err. The writer
-	// is unblocked by drainInflight (push observes stopped) and, if
-	// mid-write, by the conn close.
+	// is unblocked by drainInflight (waitRoom and push observe
+	// stopped) and, if mid-write, by the conn close.
 	abort := func(cause error) error {
 		inflight := st.drainInflight()
 		stopWake()
@@ -1203,7 +1151,7 @@ func (r *Remote) runStream(ctx context.Context, h *hostState, sc *streamConn, re
 			}
 			st.popFront()
 			h.noteSuccess()
-			h.observeBatch("binary", front.sent, len(front.indices))
+			h.observeBatch(front.sent, len(front.indices))
 			d.complete(front.indices, accs)
 		case frameError:
 			fatal, msg, derr := decodeError(payload)
@@ -1225,19 +1173,6 @@ func (r *Remote) runStream(ctx context.Context, h *hostState, sc *streamConn, re
 	}
 }
 
-// countingReader counts bytes read through it (JSON wire rx
-// accounting — the decoder sees exactly the response body).
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // bytesToMsg renders a frame's message payload, bounded.
 func bytesToMsg(b []byte) string {
 	const max = 256
@@ -1245,138 +1180,4 @@ func bytesToMsg(b []byte) string {
 		b = b[:max]
 	}
 	return string(b)
-}
-
-// jsonHostLoop serves one worker over the HTTP/JSON wire with
-// Concurrency parallel request loops — the pre-stream transport, kept
-// for negotiated-down workers and -wire json.
-func (r *Remote) jsonHostLoop(ctx context.Context, h *hostState, req montecarlo.Request, d *dispatch) error {
-	errs := make([]error, r.opt.Concurrency)
-	var wg sync.WaitGroup
-	for c := 0; c < r.opt.Concurrency; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[c] = r.jsonLoop(ctx, h, req, d)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (r *Remote) jsonLoop(ctx context.Context, h *hostState, req montecarlo.Request, d *dispatch) error {
-	var lastErr error
-	for {
-		h.mu.Lock()
-		dead := h.health == hostDead
-		h.mu.Unlock()
-		if dead {
-			if lastErr == nil {
-				lastErr = fmt.Errorf("worker declared dead")
-			}
-			return lastErr
-		}
-		batch := d.next(r.opt.BatchSize, h.url)
-		if batch == nil {
-			return lastErr
-		}
-		sent := time.Now()
-		d.markInflight(batch, h.url)
-		accs, err := r.post(ctx, h.url, req, batch)
-		if err == nil {
-			h.noteSuccess()
-			h.observeBatch("json", sent, len(batch))
-			d.complete(batch, accs)
-			continue
-		}
-		lastErr = err
-		var fatal *fatalStatusError
-		if errors.As(err, &fatal) {
-			// A protocol-level rejection is this worker's problem — a
-			// version-skewed binary missing the kernel, or some other
-			// service squatting on the address. Abandon the worker and
-			// let the rest of the fleet take the batch; the run only
-			// fails if every worker rejects it.
-			d.requeue(batch, r.opt.MaxAttempts, h.url, err)
-			r.markDead(h)
-			return lastErr
-		}
-		// Transport failure: hand the batch back for the fleet and
-		// decide whether this worker is still worth talking to.
-		d.requeue(batch, r.opt.MaxAttempts, h.url, err)
-		if r.countFailure(h) {
-			return lastErr
-		}
-		sleepCtx(ctx, h.retryDelay())
-	}
-}
-
-// post ships one shard batch to a worker and decodes the per-shard
-// accumulator states, positionally matching indices.
-func (r *Remote) post(ctx context.Context, host string, req montecarlo.Request, indices []int) ([][]montecarlo.Accumulator, error) {
-	if r.opt.ShardTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.opt.ShardTimeout)
-		defer cancel()
-	}
-	job := ShardJob{Request: req, Proto: ProtoVersion, Indices: indices}
-	body, err := json.Marshal(job)
-	if err != nil {
-		return nil, &fatalStatusError{msg: fmt.Sprintf("marshal job: %v", err)}
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, host+PathShards, bytes.NewReader(body))
-	if err != nil {
-		return nil, &fatalStatusError{msg: fmt.Sprintf("build request: %v", err)}
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	mBytesJSONTx.Add(int64(len(body)))
-	resp, err := r.opt.Client.Do(httpReq)
-	if err != nil {
-		return nil, fmt.Errorf("post %s: %w", host, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			return nil, &fatalStatusError{msg: fmt.Sprintf("%s: %s", resp.Status, strings.TrimSpace(string(msg)))}
-		}
-		return nil, fmt.Errorf("post %s: %s: %s", host, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	cr := &countingReader{r: resp.Body}
-	var sr ShardResponse
-	err = json.NewDecoder(cr).Decode(&sr)
-	mBytesJSONRx.Add(cr.n)
-	if err != nil {
-		return nil, fmt.Errorf("decode response from %s: %w", host, err)
-	}
-	if sr.Proto != ProtoVersion {
-		// A pre-versioning worker decodes current jobs but ignores the
-		// fields it does not know (sampler, shard range) — its answers
-		// would be silently wrong, so its missing/old echo is fatal.
-		return nil, &fatalStatusError{msg: fmt.Sprintf(
-			"worker %s speaks shard protocol %d, this coordinator %d (mixed-version fleet?)", host, sr.Proto, ProtoVersion)}
-	}
-	if len(sr.Results) != len(indices) {
-		return nil, fmt.Errorf("worker %s returned %d results for %d shards", host, len(sr.Results), len(indices))
-	}
-	accs := make([][]montecarlo.Accumulator, len(indices))
-	for i, res := range sr.Results {
-		if res.Index != indices[i] {
-			return nil, fmt.Errorf("worker %s returned shard %d at position %d (want %d)", host, res.Index, i, indices[i])
-		}
-		if len(res.Accs) != req.Dim {
-			return nil, fmt.Errorf("worker %s returned %d components for shard %d (want %d)", host, len(res.Accs), res.Index, req.Dim)
-		}
-		accs[i] = make([]montecarlo.Accumulator, req.Dim)
-		for j, st := range res.Accs {
-			accs[i][j] = montecarlo.FromState(st)
-		}
-	}
-	return accs, nil
 }

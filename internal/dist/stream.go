@@ -4,19 +4,17 @@ package dist
 // halves of the persistent framed connection described in frame.go.
 //
 // A stream starts life as an ordinary HTTP request — GET /v1/stream
-// with Connection: Upgrade — so both wire formats share one listener
-// and one port. A worker that predates the stream protocol answers
-// with whatever it answers unknown paths (a 404), which the
-// coordinator reads as "this worker speaks JSON only" and negotiates
-// down for the connection instead of failing the fleet. A worker that
-// accepts the upgrade exchanges hello frames carrying ProtoVersion;
-// any mismatch also degrades to JSON, whose own version checks then
-// decide loudly whether the fleet is serviceable.
+// with Connection: Upgrade — so the stream shares one listener and one
+// port with the health, stats and metrics probes. A worker that
+// accepts the upgrade exchanges hello frames carrying ProtoVersion.
+// Anything else — a refused upgrade (an older binary, or some other
+// service on the port) or a hello with another version — is fatal for
+// that worker: the coordinator abandons it, naming the cause, and the
+// rest of the fleet carries the run.
 
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -28,12 +26,6 @@ import (
 	"carriersense/internal/montecarlo"
 )
 
-// errNoBinary marks a worker that cannot (or will not) speak the
-// binary stream: the upgrade was refused or the hello mismatched. The
-// coordinator falls back to the JSON wire for that worker; under
-// WireBinary the fallback is disabled and the worker is abandoned.
-var errNoBinary = errors.New("dist: worker does not speak the binary shard stream")
-
 // streamConn is the coordinator's end of one established stream.
 type streamConn struct {
 	conn    net.Conn
@@ -43,9 +35,9 @@ type streamConn struct {
 	nextReq uint32 // request-frame id counter for this connection
 }
 
-// dialStream opens, upgrades, and handshakes one binary stream to a
-// worker's base URL. A refusal to upgrade (any non-101 answer) or a
-// hello mismatch returns errNoBinary; transport failures return the
+// dialStream opens, upgrades, and handshakes one stream to a worker's
+// base URL. A refusal to upgrade (any non-101 answer) or a hello
+// mismatch returns a *fatalStatusError; transport failures return the
 // underlying error.
 func dialStream(ctx context.Context, baseURL string, dialTimeout time.Duration) (*streamConn, error) {
 	u, err := url.Parse(baseURL)
@@ -83,16 +75,14 @@ func (sc *streamConn) upgrade(host string) error {
 		return fmt.Errorf("dist: stream upgrade: %w", err)
 	}
 	if resp.StatusCode != http.StatusSwitchingProtocols {
-		// Drain and discard the refusal body so the diagnostic is not a
-		// half-read connection; any refusal means "use JSON here".
 		resp.Body.Close()
-		return fmt.Errorf("%w (%s answered %s)", errNoBinary, PathStream, resp.Status)
+		return &fatalStatusError{msg: fmt.Sprintf("stream upgrade refused (%s answered %s)", PathStream, resp.Status)}
 	}
 	return nil
 }
 
 // hello exchanges protocol versions. A worker speaking a different
-// frame protocol degrades to JSON rather than failing the fleet.
+// protocol is fatal: it would mis-serve or reject every batch.
 func (sc *streamConn) hello() error {
 	if err := writeFrame(sc.bw, frameHello, encodeHello()); err != nil {
 		return err
@@ -107,14 +97,14 @@ func (sc *streamConn) hello() error {
 		return err
 	}
 	if t != frameHello {
-		return fmt.Errorf("%w (answered %s, not hello)", errNoBinary, t)
+		return &fatalStatusError{msg: fmt.Sprintf("stream answered %s, not hello", t)}
 	}
 	proto, err := decodeHello(payload)
 	if err != nil {
-		return fmt.Errorf("%w (%v)", errNoBinary, err)
+		return &fatalStatusError{msg: err.Error()}
 	}
 	if proto != ProtoVersion {
-		return fmt.Errorf("%w (stream protocol %d, this coordinator %d)", errNoBinary, proto, ProtoVersion)
+		return &fatalStatusError{msg: fmt.Sprintf("stream protocol %d, this coordinator %d (mixed-version fleet?)", proto, ProtoVersion)}
 	}
 	return nil
 }
@@ -152,7 +142,7 @@ type streamSession struct {
 	bw   *bufio.Writer
 }
 
-// handleStream upgrades an HTTP request into a binary shard stream and
+// handleStream upgrades an HTTP request into a shard stream and
 // serves frames until the peer hangs up or the server drains.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get("Upgrade") != streamUpgrade {
@@ -229,8 +219,8 @@ func (s *Server) serveStream(ss *streamSession) {
 		return
 	}
 	if proto != ProtoVersion {
-		// The echo above already told the coordinator our version; it
-		// will fall back to JSON. Close rather than mis-serve.
+		// The echo above already told the coordinator our version, and
+		// it abandons this worker. Close rather than mis-serve.
 		return
 	}
 	ss.conn.SetReadDeadline(time.Time{})
@@ -299,12 +289,12 @@ func (s *Server) serveStream(ss *streamSession) {
 			accs, err := montecarlo.EvaluateShards(req, indices)
 			if err != nil {
 				// The caller's mistake (unknown kernel, bad params):
-				// fatal, exactly like the JSON path's 400.
+				// fatal, so the coordinator fails fast.
 				s.endBatch()
 				fail(err.Error())
 				return
 			}
-			endBatchSpan(tr, traceStart, req.Kernel, "binary", len(indices))
+			endBatchSpan(tr, traceStart, req.Kernel, len(indices))
 			wBatchEvalSeconds.Observe(time.Since(evalStart).Seconds())
 			sampleCount := 0
 			for i := range accs {
@@ -388,8 +378,7 @@ func (s *Server) unregisterStream(c net.Conn) {
 // BeginDrain puts the worker into drain mode: new streams are refused,
 // streams idle in a read are woken so they can say goodbye, and
 // streams mid-batch finish and deliver the batch in hand before
-// closing. In-flight JSON shard requests are drained by
-// http.Server.Shutdown in Serve.
+// closing.
 func (s *Server) BeginDrain() {
 	if s.draining.Swap(true) {
 		return

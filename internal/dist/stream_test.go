@@ -1,8 +1,8 @@
 package dist
 
-// Binary shard stream tests: wire negotiation on mixed fleets, the
-// determinism contract on the framed wire, loud failure on corrupt
-// frames, mid-run worker death on persistent connections, shard
+// Shard stream tests: the determinism contract on the framed wire,
+// abandonment of workers that refuse the upgrade, loud failure on
+// corrupt frames, worker-side rejection of invalid frames, shard
 // timeouts, and graceful drain. These live in the internal package so
 // misbehaving workers can be built straight from the frame codec.
 
@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -81,9 +82,9 @@ func startWorker(t *testing.T) string {
 	return strings.TrimPrefix(srv.URL, "http://")
 }
 
-// startJSONOnlyWorker boots a worker that predates the stream
+// startUpgradeRefusingWorker boots a worker that predates the stream
 // protocol: PathStream 404s, everything else is a current worker.
-func startJSONOnlyWorker(t *testing.T) string {
+func startUpgradeRefusingWorker(t *testing.T) string {
 	t.Helper()
 	inner := NewServer()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -125,6 +126,99 @@ func startFrameWorker(t *testing.T, serve func(ss *streamSession)) string {
 	return strings.TrimPrefix(srv.URL, "http://")
 }
 
+// startGatedWorker boots a worker that evaluates every batch for real
+// — so whatever it delivers must merge bit-identically — but asks
+// gate first, with the worker's 1-based batch ordinal across all its
+// streams. A gate may block (a slow or wedged worker) and returns
+// false to sever the stream instead of answering (a dead one). It
+// returns the worker's host:port.
+func startGatedWorker(t *testing.T, gate func(batch int64) bool) string {
+	t.Helper()
+	var batches atomic.Int64
+	return startFrameWorker(t, func(ss *streamSession) {
+		var scratch []byte
+		if helloExchange(ss, &scratch) != nil {
+			return
+		}
+		reqs := map[uint32]montecarlo.Request{}
+		for {
+			t, payload, err := readFrame(ss.br, &scratch)
+			if err != nil {
+				return
+			}
+			switch t {
+			case frameRequest:
+				id, r, err := decodeRequest(payload)
+				if err != nil {
+					return
+				}
+				reqs[id] = r
+			case frameBatch:
+				if !gate(batches.Add(1)) {
+					return // startFrameWorker's deferred close severs the conn mid-batch
+				}
+				id, indices, err := decodeBatch(payload)
+				if err != nil {
+					return
+				}
+				r := reqs[id]
+				accs, err := montecarlo.EvaluateShards(r, indices)
+				if err != nil {
+					return
+				}
+				if writeFrame(ss.bw, frameResult, encodeResult(id, r.Dim, indices, accs)) != nil {
+					return
+				}
+				if ss.bw.Flush() != nil {
+					return
+				}
+			default:
+				return
+			}
+		}
+	})
+}
+
+// deathWait bounds how long the healthy worker of startDyingPair holds
+// its first batch for the flaky worker's death. It only expires when
+// the flaky worker can never reach its death point, and then the
+// caller's "death path exercised" check fails instead of the test
+// hanging.
+const deathWait = 20 * time.Second
+
+// startDyingPair boots a two-worker fleet, healthy first. The flaky
+// worker answers `survives` batches, then severs its stream at every
+// later batch: dead for good. The healthy worker's first batch waits
+// until the flaky worker has died, so the healthy one cannot drain the
+// plan before the death point is reached. At BatchSize 1 and
+// Concurrency 1 the healthy worker holds one shard meanwhile, so the
+// first estimation needs at least survives+2 shards. flakyBatches
+// reports how many batch frames the flaky worker received.
+func startDyingPair(t *testing.T, survives int64) (hosts []string, flakyBatches func() int64) {
+	t.Helper()
+	died := make(chan struct{})
+	var once sync.Once
+	var seen atomic.Int64
+	flaky := startGatedWorker(t, func(batch int64) bool {
+		seen.Add(1)
+		if batch > survives {
+			once.Do(func() { close(died) })
+			return false
+		}
+		return true
+	})
+	healthy := startGatedWorker(t, func(batch int64) bool {
+		if batch == 1 {
+			select {
+			case <-died:
+			case <-time.After(deathWait):
+			}
+		}
+		return true
+	})
+	return []string{healthy, flaky}, seen.Load
+}
+
 // helloExchange performs the worker half of the handshake.
 func helloExchange(ss *streamSession, scratch *[]byte) error {
 	t, payload, err := readFrame(ss.br, scratch)
@@ -161,7 +255,7 @@ func TestBinaryWireCarriesTheRunAndStaysBitIdentical(t *testing.T) {
 		streamBatches += st.StreamBatches
 		shards += st.Shards
 		if st.Requests != st.StreamBatches {
-			t.Errorf("worker %s: %d requests but %d stream batches — some work fell back to JSON", h, st.Requests, st.StreamBatches)
+			t.Errorf("worker %s: %d requests but %d stream batches", h, st.Requests, st.StreamBatches)
 		}
 	}
 	if streams == 0 || streamBatches == 0 {
@@ -189,74 +283,94 @@ func TestStreamsPersistAcrossEstimations(t *testing.T) {
 	}
 }
 
-func TestJSONOnlyWorkerNegotiatesDown(t *testing.T) {
-	req := streamTestRequest(4*montecarlo.ShardSize + 9)
-	want := localWant(t, req)
-	host := startJSONOnlyWorker(t)
-	remote, err := NewRemote([]string{host})
-	if err != nil {
-		t.Fatal(err)
-	}
-	accs, err := remote.EstimateVec(context.Background(), req)
-	if err != nil {
-		t.Fatalf("run against a JSON-only worker failed instead of negotiating down: %v", err)
-	}
-	requireIdentical(t, accs, want, "negotiated-down wire")
-	st := workerStats(t, host)
-	if st.Streams != 0 {
-		t.Errorf("JSON-only worker reports %d streams", st.Streams)
-	}
-	if wantShards := int64(montecarlo.ShardCount(req.Samples)); st.Shards != wantShards {
-		t.Errorf("worker evaluated %d shards over JSON, plan has %d", st.Shards, wantShards)
-	}
-}
-
-func TestMixedWireFleetStaysBitIdentical(t *testing.T) {
-	req := streamTestRequest(8 * montecarlo.ShardSize)
-	want := localWant(t, req)
-	binHost, jsonHost := startWorker(t), startJSONOnlyWorker(t)
-	remote, err := NewRemote([]string{binHost, jsonHost}, RemoteOptions{BatchSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	accs, err := remote.EstimateVec(context.Background(), req)
-	if err != nil {
-		t.Fatalf("mixed-wire fleet failed: %v", err)
-	}
-	requireIdentical(t, accs, want, "mixed-wire fleet")
-	binStats, jsonStats := workerStats(t, binHost), workerStats(t, jsonHost)
-	if jsonStats.Streams != 0 {
-		t.Errorf("JSON-only worker reports %d streams", jsonStats.Streams)
-	}
-	if total, plan := binStats.Shards+jsonStats.Shards, int64(montecarlo.ShardCount(req.Samples)); total != plan {
-		t.Errorf("fleet evaluated %d shards, plan has %d (negotiation lost or duplicated work)", total, plan)
-	}
-}
-
-func TestWireBinaryAbandonsJSONOnlyWorker(t *testing.T) {
+func TestUpgradeRefusingWorkerIsAbandoned(t *testing.T) {
 	req := streamTestRequest(4 * montecarlo.ShardSize)
 	want := localWant(t, req)
-	binHost, jsonHost := startWorker(t), startJSONOnlyWorker(t)
-	remote, err := NewRemote([]string{binHost, jsonHost}, RemoteOptions{Wire: WireBinary})
+	host, refuser := startWorker(t), startUpgradeRefusingWorker(t)
+	remote, err := NewRemote([]string{host, refuser}, RemoteOptions{ReadmitBase: ReadmitOff})
 	if err != nil {
 		t.Fatal(err)
 	}
 	accs, err := remote.EstimateVec(context.Background(), req)
 	if err != nil {
-		t.Fatalf("-wire binary with one capable worker failed: %v", err)
+		t.Fatalf("fleet with one stream-capable worker failed: %v", err)
 	}
-	requireIdentical(t, accs, want, "wire=binary")
-	if st := workerStats(t, jsonHost); st.Shards != 0 {
-		t.Errorf("JSON-only worker evaluated %d shards under -wire binary", st.Shards)
+	requireIdentical(t, accs, want, "around a refusing worker")
+	if st := workerStats(t, refuser); st.Shards != 0 {
+		t.Errorf("upgrade-refusing worker evaluated %d shards", st.Shards)
 	}
 
-	// An all-JSON fleet under -wire binary must fail, not degrade.
-	lonely, err := NewRemote([]string{startJSONOnlyWorker(t)}, RemoteOptions{Wire: WireBinary})
+	// A fleet of refusers must fail loudly, naming the worker and why.
+	lonely, err := NewRemote([]string{refuser}, RemoteOptions{ReadmitBase: ReadmitOff})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lonely.EstimateVec(context.Background(), req); err == nil {
-		t.Fatal("-wire binary against a JSON-only fleet succeeded; want loud failure")
+	_, err = lonely.EstimateVec(context.Background(), req)
+	if err == nil {
+		t.Fatal("run against an upgrade-refusing fleet succeeded; want loud failure")
+	}
+	for _, want := range []string{refuser, "stream upgrade refused", "404"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("run error lacks %q: %v", want, err)
+		}
+	}
+}
+
+func TestStreamRejectsInvalidFramesWithoutEvaluating(t *testing.T) {
+	host := startWorker(t)
+	valid := streamTestRequest(4 * montecarlo.ShardSize)
+	validBody, err := encodeRequest(1, valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type frame struct {
+		t       frameType
+		payload []byte
+	}
+	// Each case writes its frames onto a fresh stream; the worker must
+	// answer with one fatal error frame and close.
+	cases := []struct {
+		name   string
+		frames []frame
+	}{
+		{"malformed request payload", []frame{{frameRequest, append([]byte{1, 0, 0, 0}, "{not json"...)}}},
+		{"unknown request id", []frame{{frameBatch, encodeBatch(99, []int{0})}}},
+		{"empty batch", []frame{{frameRequest, validBody}, {frameBatch, encodeBatch(1, nil)}}},
+		{"out-of-range index", []frame{{frameRequest, validBody}, {frameBatch, encodeBatch(1, []int{9})}}},
+		{"duplicate index", []frame{{frameRequest, validBody}, {frameBatch, encodeBatch(1, []int{2, 2})}}},
+	}
+	for i, tc := range cases {
+		sc, err := dialStream(context.Background(), "http://"+host, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sc.close()
+		for _, f := range tc.frames {
+			if err := writeFrame(sc.bw, f.t, f.payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sc.bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		sc.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		ft, payload, err := readFrame(sc.br, &sc.scratch)
+		if err != nil || ft != frameError {
+			t.Errorf("%s: got %v frame, err %v; want an error frame", tc.name, ft, err)
+			continue
+		}
+		if fatal, msg, err := decodeError(payload); err != nil || !fatal {
+			t.Errorf("%s: error frame fatal=%v msg=%q err=%v; want fatal", tc.name, fatal, msg, err)
+		}
+		if _, _, err := readFrame(sc.br, &sc.scratch); err == nil {
+			t.Errorf("%s: stream stayed open after a fatal error frame", tc.name)
+		}
+		if st := workerStats(t, host); st.Failures != int64(i+1) {
+			t.Errorf("%s: worker counts %d failures, want %d", tc.name, st.Failures, i+1)
+		}
+	}
+	if st := workerStats(t, host); st.Shards != 0 || st.Samples != 0 {
+		t.Errorf("invalid frames were evaluated: %d shards, %d samples", st.Shards, st.Samples)
 	}
 }
 
@@ -333,70 +447,24 @@ func TestTruncatedFrameFailsLoudly(t *testing.T) {
 	}
 }
 
-func TestBinaryWorkerDiesMidRunFleetSurvives(t *testing.T) {
+func TestFailoverWorkerKilledMidRun(t *testing.T) {
 	req := streamTestRequest(9 * montecarlo.ShardSize)
 	want := localWant(t, req)
-
-	// A worker that answers `survives` batch frames correctly — real
-	// evaluations, so its delivered work must merge bit-identically —
-	// then drops every connection, dead for good.
-	var served atomic.Int64
 	const survives = 2
-	flakyHost := startFrameWorker(t, func(ss *streamSession) {
-		var scratch []byte
-		if helloExchange(ss, &scratch) != nil {
-			return
-		}
-		reqs := map[uint32]montecarlo.Request{}
-		for {
-			t, payload, err := readFrame(ss.br, &scratch)
-			if err != nil {
-				return
-			}
-			switch t {
-			case frameRequest:
-				id, r, err := decodeRequest(payload)
-				if err != nil {
-					return
-				}
-				reqs[id] = r
-			case frameBatch:
-				if served.Add(1) > survives {
-					return // the deferred close severs the conn mid-batch
-				}
-				id, indices, err := decodeBatch(payload)
-				if err != nil {
-					return
-				}
-				r := reqs[id]
-				accs, err := montecarlo.EvaluateShards(r, indices)
-				if err != nil {
-					return
-				}
-				if writeFrame(ss.bw, frameResult, encodeResult(id, r.Dim, indices, accs)) != nil {
-					return
-				}
-				if ss.bw.Flush() != nil {
-					return
-				}
-			default:
-				return
-			}
-		}
-	})
-	hosts := []string{startWorker(t), flakyHost}
+	hosts, flakyBatches := startDyingPair(t, survives)
 	remote, err := NewRemote(hosts, RemoteOptions{BatchSize: 1, Concurrency: 1, HostFailLimit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer remote.Close()
 	accs, err := remote.EstimateVec(context.Background(), req)
 	if err != nil {
 		t.Fatalf("run with mid-stream worker death failed: %v", err)
 	}
-	if served.Load() <= survives {
-		t.Fatalf("flaky worker saw %d batches; the death path was never exercised", served.Load())
+	if n := flakyBatches(); n <= survives {
+		t.Fatalf("flaky worker saw %d batches; the death path was never exercised", n)
 	}
-	requireIdentical(t, accs, want, "binary wire after mid-run death")
+	requireIdentical(t, accs, want, "after mid-run worker death")
 }
 
 func TestShardTimeoutRedispatchesToSurvivors(t *testing.T) {
@@ -489,19 +557,6 @@ func TestServeDrainsStreamsWithGoodbye(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Serve did not return after drain")
-	}
-}
-
-func TestParseWire(t *testing.T) {
-	cases := map[string]Wire{"": WireAuto, "auto": WireAuto, "json": WireJSON, "binary": WireBinary}
-	for in, want := range cases {
-		got, err := ParseWire(in)
-		if err != nil || got != want {
-			t.Errorf("ParseWire(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseWire("carrier-pigeon"); err == nil {
-		t.Error("ParseWire accepted nonsense")
 	}
 }
 

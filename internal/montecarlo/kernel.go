@@ -519,8 +519,3 @@ func KernelMeanVec(kernel string, params any, seed uint64, n, dim int) []Estimat
 	}
 	return out
 }
-
-// KernelMean is the scalar convenience over KernelMeanVec.
-func KernelMean(kernel string, params any, seed uint64, n int) Estimate {
-	return KernelMeanVec(kernel, params, seed, n, 1)[0]
-}

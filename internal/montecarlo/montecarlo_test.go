@@ -76,67 +76,6 @@ func TestMeanVecMatchesMean(t *testing.T) {
 	}
 }
 
-func TestMeanToRelErr(t *testing.T) {
-	est, converged := MeanToRelErr(3, 1_000, 1_000_000, 0.005, func(src *rng.Source) float64 {
-		return 5 + src.Normal(0, 1)
-	})
-	if !converged {
-		t.Errorf("converged = false, want true")
-	}
-	if est.RelErr() > 0.005 {
-		t.Errorf("rel err = %v, want <= 0.005", est.RelErr())
-	}
-	if math.Abs(est.Mean-5) > 0.1 {
-		t.Errorf("mean = %v, want ~5", est.Mean)
-	}
-}
-
-func TestMeanToRelErrMatchesMeanBitwise(t *testing.T) {
-	// Incremental shard-plan growth must change nothing about the
-	// result: after any number of growth rounds, the estimate is
-	// bit-identical to a fresh Mean over the same total — shard
-	// streams continue rather than restart, new shards split from the
-	// root in shard order, and the merge stays in shard order.
-	f := func(src *rng.Source) float64 { return 5 + src.Normal(0, 1) }
-	est, _ := MeanToRelErr(9, 500, 3_000_000, 0.002, f)
-	if est.N <= 500 {
-		t.Fatalf("test needs growth rounds; converged at n0 (N=%d)", est.N)
-	}
-	direct := Mean(9, est.N, f)
-	if est != direct {
-		t.Errorf("incremental %+v != fresh Mean %+v", est, direct)
-	}
-}
-
-func TestMeanToRelErrEvaluatesEachSampleOnce(t *testing.T) {
-	// The point of the incremental plan: total work equals the final
-	// sample count, not the ~1.33x of re-evaluating every prior round.
-	f := func(src *rng.Source) float64 { return 5 + src.Normal(0, 1) }
-	before := EvaluatedSamples()
-	est, _ := MeanToRelErr(10, 500, 3_000_000, 0.002, f)
-	evaluated := EvaluatedSamples() - before
-	if est.N <= 500 {
-		t.Fatalf("test needs growth rounds; converged at n0 (N=%d)", est.N)
-	}
-	if evaluated != int64(est.N) {
-		t.Errorf("evaluated %d samples for a final N of %d; incremental growth should evaluate each exactly once", evaluated, est.N)
-	}
-}
-
-func TestMeanToRelErrHitsCap(t *testing.T) {
-	// Zero-mean integrand: relative error never converges; must stop
-	// at nMax rather than loop forever.
-	est, converged := MeanToRelErr(4, 100, 5_000, 1e-6, func(src *rng.Source) float64 {
-		return src.Normal(0, 1)
-	})
-	if est.N > 5_000 {
-		t.Errorf("N = %d exceeded cap", est.N)
-	}
-	if converged {
-		t.Errorf("converged = true for a capped run; callers must be able to tell capped from converged")
-	}
-}
-
 func TestFraction(t *testing.T) {
 	est := Fraction(8, 100_000, func(src *rng.Source) bool {
 		return src.Float64() < 0.25

@@ -335,17 +335,17 @@ func TestTracerCapDropsCounted(t *testing.T) {
 }
 
 func TestGlobalTracerInstall(t *testing.T) {
-	if TraceEnabled() {
-		t.Fatal("tracer enabled at test start")
+	if CurrentTracer() != nil {
+		t.Fatal("tracer installed at test start")
 	}
 	tr := NewTracer()
 	SetTracer(tr)
 	defer SetTracer(nil)
-	if !TraceEnabled() || CurrentTracer() != tr {
+	if CurrentTracer() != tr {
 		t.Fatal("SetTracer did not install")
 	}
 	SetTracer(nil)
-	if TraceEnabled() {
+	if CurrentTracer() != nil {
 		t.Fatal("SetTracer(nil) did not uninstall")
 	}
 }

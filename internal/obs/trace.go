@@ -196,8 +196,8 @@ func (t *Tracer) WriteFile(path string) error {
 }
 
 // The globally installed tracer. A nil pointer means tracing is off;
-// hot paths check TraceEnabled (one atomic load) before building any
-// event arguments.
+// hot paths nil-check CurrentTracer (one atomic load) before building
+// any event arguments.
 var globalTracer atomic.Pointer[Tracer]
 
 // SetTracer installs (or, with nil, removes) the global tracer.
@@ -207,6 +207,3 @@ func SetTracer(t *Tracer) { globalTracer.Store(t) }
 // off. Callers must nil-check — and should build Span/Instant args
 // only inside that check.
 func CurrentTracer() *Tracer { return globalTracer.Load() }
-
-// TraceEnabled reports whether a tracer is installed.
-func TraceEnabled() bool { return globalTracer.Load() != nil }

@@ -71,9 +71,6 @@ type VCS struct {
 type ExecInfo struct {
 	// Workers is the fleet host list ("" = in-process only).
 	Workers []string `json:"workers,omitempty"`
-	// Wire is the shard transport ("auto", "json", "binary"); empty
-	// for local runs.
-	Wire string `json:"wire,omitempty"`
 	// Parallel is the pinned pool width (0 = GOMAXPROCS).
 	Parallel int `json:"parallel,omitempty"`
 	// Cache/CacheDir/Prefetch describe the caching executor, when on.

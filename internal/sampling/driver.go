@@ -3,12 +3,11 @@ package sampling
 // The convergence driver: a montecarlo.Executor decorator that
 // replaces each fixed-budget estimation with geometrically growing
 // whole-shard rounds until the primary component's relative standard
-// error meets a target. It is the executor-seam generalization of
-// montecarlo.MeanToRelErr's incremental shard-plan growth: because a
-// shard's random stream depends only on (seed, index), round k+1 can
-// be issued as a *ranged* request — Request.FirstShard pointing past
-// the shards rounds 1..k already evaluated — and its accumulators
-// merged after theirs, in shard order. No whole-shard sample is ever
+// error meets a target. Growth is incremental: because a shard's
+// random stream depends only on (seed, index), round k+1 can be issued
+// as a *ranged* request — Request.FirstShard pointing past the shards
+// rounds 1..k already evaluated — and its accumulators merged after
+// theirs, in shard order. No whole-shard sample is ever
 // re-evaluated, on any executor: the in-process pool, a `cs serve`
 // fleet, or the cache (where each round's delta request is its own
 // cache entry, so a repeated convergence run replays the identical
@@ -93,8 +92,7 @@ func probeSamples(sampler string) int {
 // PointReport records one driven estimation point — what a scenario's
 // artifacts show per point: which sampler ran, what was spent, what
 // error was achieved, and whether the target was actually reached
-// (Converged false means the point hit its cap still above target,
-// the distinction MeanToRelErr's callers historically could not see).
+// (Converged false means the point hit its cap still above target).
 type PointReport struct {
 	Kernel    string  `json:"kernel"`
 	Sampler   string  `json:"sampler"`

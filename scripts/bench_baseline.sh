@@ -78,17 +78,15 @@ sim_json+="  },\n"
 
 go build -o "$csbin" ./cmd/cs
 
-# Distributed lane: the per-shard cost of the three execution paths —
-# in-process, the JSON fallback wire, and the binary frame wire — from
-# the BenchmarkDistributedVsLocal sub-benchmarks above, plus the cache
-# hit rate a plan-driven prefetch pass achieves (run cold: -prefetch
-# warms the cache, then the real run should be all hits). The binary
-# wire's remote tax over local is the number the streaming protocol is
-# accountable for run-over-run.
+# Distributed lane: the per-shard cost of in-process evaluation and of
+# the binary frame wire at two fleet sizes, from the
+# BenchmarkDistributedVsLocal sub-benchmarks above, plus the cache hit
+# rate a plan-driven prefetch pass achieves (run cold: -prefetch warms
+# the cache, then the real run should be all hits). The wire's remote
+# tax over local is the number the streaming protocol is accountable
+# for run-over-run.
 local_us=$(bench_metric "BenchmarkDistributedVsLocal/local" "us/shard")
-json2_us=$(bench_metric "BenchmarkDistributedVsLocal/remote-2workers/json" "us/shard")
 bin2_us=$(bench_metric "BenchmarkDistributedVsLocal/remote-2workers/binary" "us/shard")
-json5_us=$(bench_metric "BenchmarkDistributedVsLocal/remote-5workers/json" "us/shard")
 bin5_us=$(bench_metric "BenchmarkDistributedVsLocal/remote-5workers/binary" "us/shard")
 
 # Two processes on one cold cache dir: the first only prefetches (its
@@ -110,12 +108,10 @@ prefetch_hit_rate=$(awk '
         if (total > 0) printf "%.4f", (hits + disk) / total; else print "null"
     }' "$prefetch_log")
 rm -rf "$prefetch_dir"; rm -f "$prefetch_log"
-echo "dist lane: ${local_us}us/shard local, ${json5_us} json, ${bin5_us} binary (5 workers); prefetch hit rate ${prefetch_hit_rate} (${prefetch_fetched:-0} warmed)"
+echo "dist lane: ${local_us}us/shard local, ${bin5_us} binary (5 workers); prefetch hit rate ${prefetch_hit_rate} (${prefetch_fetched:-0} warmed)"
 dist_json="  \"dist\": {\n"
 dist_json+="    \"local_us_per_shard\": $local_us,\n"
-dist_json+="    \"remote_2workers_json_us_per_shard\": $json2_us,\n"
 dist_json+="    \"remote_2workers_binary_us_per_shard\": $bin2_us,\n"
-dist_json+="    \"remote_5workers_json_us_per_shard\": $json5_us,\n"
 dist_json+="    \"remote_5workers_binary_us_per_shard\": $bin5_us,\n"
 dist_json+="    \"prefetch_fetched\": ${prefetch_fetched:-null},\n"
 dist_json+="    \"prefetch_hit_rate\": $prefetch_hit_rate\n"

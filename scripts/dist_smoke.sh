@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Distributed smoke test: start two `cs serve` workers on localhost and
-# run one scenario five ways — locally, over the JSON wire, over the
-# binary frame wire, via -cache -prefetch on the binary wire, and with
-# full observability (-trace + -metrics-listen) — then require every
-# run to be byte-identical to the local one. The /stats endpoints must
-# show the traffic actually took the wire under test (shards via JSON
-# POSTs, stream batches via binary frames), the /metrics scrapes must
-# be live Prometheus text, and a SIGTERM'd worker must drain in-flight
-# batches and exit 0. CI runs this; it is also handy locally:
+# run one scenario four ways — locally, over the fleet, via -cache
+# -prefetch through the fleet, and with full observability (-trace +
+# -metrics-listen) — then require every run to be byte-identical to
+# the local one. The /stats endpoints must show the traffic actually
+# crossed the binary frame stream (every batch a worker received is a
+# stream batch), the /metrics scrapes must be live Prometheus text,
+# and a SIGTERM'd worker must drain in-flight batches and exit 0. CI
+# runs this; it is also handy locally:
 #
 #   scripts/dist_smoke.sh
 #
@@ -49,14 +49,9 @@ done
 fleet=127.0.0.1:18041,127.0.0.1:18042
 scenario=curves
 
-stat_sum() { # <json field> -> field summed across both workers
-  local total=0 v
-  for port in 18041 18042; do
-    v=$(curl -sf "http://127.0.0.1:$port/stats" |
-      grep -o "\"$1\":[0-9]*" | head -1 | cut -d: -f2)
-    total=$((total + ${v:-0}))
-  done
-  echo "$total"
+stat() { # <port> <json field> -> that worker's /stats field
+  curl -sf "http://127.0.0.1:$1/stats" |
+    grep -o "\"$2\":[0-9]*" | head -1 | cut -d: -f2
 }
 
 require_identical() { # <dir> <label>
@@ -74,24 +69,24 @@ require_identical() { # <dir> <label>
 "$work/cs" run "$scenario" -scale smoke -seed 7 -quiet -out "$work/local"
 local_dir=$(echo "$work"/local/*)
 
-# JSON wire: the legacy one-POST-per-batch protocol, still the fallback
-# for old workers. Must be bit-identical and must move shards.
+# Fleet run: persistent streams, length-prefixed frames. Must be
+# bit-identical, must move stream batches, and every batch a worker
+# received must have arrived as a stream batch frame.
 "$work/cs" run "$scenario" -scale smoke -seed 7 -quiet \
-  -workers "$fleet" -wire json -out "$work/json"
-require_identical "$work/json" "json-wire"
-if [ "$(stat_sum shards)" -eq 0 ]; then
-  echo "JSON-wire run moved no shards — the run was not distributed" >&2
-  exit 1
-fi
-
-# Binary wire: persistent streams, length-prefixed frames. Must be
-# bit-identical and must move stream batches (the counter only the
-# frame protocol increments).
-"$work/cs" run "$scenario" -scale smoke -seed 7 -quiet \
-  -workers "$fleet" -wire binary -out "$work/binary"
-require_identical "$work/binary" "binary-wire"
-if [ "$(stat_sum stream_batches)" -eq 0 ]; then
-  echo "binary-wire run moved no stream batches — frames were not used" >&2
+  -workers "$fleet" -out "$work/fleet"
+require_identical "$work/fleet" "fleet"
+total_batches=0
+for port in 18041 18042; do
+  requests=$(stat "$port" requests)
+  batches=$(stat "$port" stream_batches)
+  if [ "${requests:-0}" -ne "${batches:-0}" ]; then
+    echo "worker :$port counts $requests requests but $batches stream batches" >&2
+    exit 1
+  fi
+  total_batches=$((total_batches + ${batches:-0}))
+done
+if [ "$total_batches" -eq 0 ]; then
+  echo "fleet run moved no stream batches — the run was not distributed" >&2
   exit 1
 fi
 
@@ -100,7 +95,7 @@ fi
 # byte-identical output.
 prefetch_log="$work/prefetch.log"
 "$work/cs" run "$scenario" -scale smoke -seed 7 -quiet \
-  -workers "$fleet" -wire binary \
+  -workers "$fleet" \
   -cache -cache-dir "$work/cache" -prefetch \
   -out "$work/prefetch" 2>"$prefetch_log"
 require_identical "$work/prefetch" "prefetch"
@@ -121,7 +116,7 @@ grep '^prefetch:' "$prefetch_log"
 # endpoint, still byte-identical to the local run — instrumentation
 # must be observationally inert.
 "$work/cs" run "$scenario" -scale smoke -seed 7 -quiet \
-  -workers "$fleet" -wire binary \
+  -workers "$fleet" \
   -trace "$work/trace.json" -metrics-listen 127.0.0.1:18049 \
   -out "$work/traced"
 require_identical "$work/traced" "traced"
@@ -191,4 +186,4 @@ if ! grep -q 'drained in-flight shard batches and stopped' "$work/worker1.log"; 
   exit 1
 fi
 
-echo "distributed smoke OK: '$scenario' is bit-identical across 2 workers on both wires (+prefetch, $fetched estimations warmed; +trace/metrics inert, $metrics_shards shards scraped, drain clean)"
+echo "distributed smoke OK: '$scenario' is bit-identical across 2 workers on the frame stream (+prefetch, $fetched estimations warmed; +trace/metrics inert, $metrics_shards shards scraped, drain clean)"
