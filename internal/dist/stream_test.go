@@ -103,6 +103,13 @@ func startUpgradeRefusingWorker(t *testing.T) string {
 // worker. Used to build misbehaving peers.
 func startFrameWorker(t *testing.T, serve func(ss *streamSession)) string {
 	t.Helper()
+	return strings.TrimPrefix(startFrameServer(t, serve).URL, "http://")
+}
+
+// startFrameServer is startFrameWorker returning the server itself, for
+// tests that take the whole host down.
+func startFrameServer(t *testing.T, serve func(ss *streamSession)) *httptest.Server {
+	t.Helper()
 	inner := NewServer()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != PathStream {
@@ -123,7 +130,7 @@ func startFrameWorker(t *testing.T, serve func(ss *streamSession)) string {
 		serve(ss)
 	}))
 	t.Cleanup(srv.Close)
-	return strings.TrimPrefix(srv.URL, "http://")
+	return srv
 }
 
 // startGatedWorker boots a worker that evaluates every batch for real
@@ -134,8 +141,13 @@ func startFrameWorker(t *testing.T, serve func(ss *streamSession)) string {
 // returns the worker's host:port.
 func startGatedWorker(t *testing.T, gate func(batch int64) bool) string {
 	t.Helper()
+	return startFrameWorker(t, gatedServe(gate))
+}
+
+// gatedServe is the stream loop of startGatedWorker.
+func gatedServe(gate func(batch int64) bool) func(ss *streamSession) {
 	var batches atomic.Int64
-	return startFrameWorker(t, func(ss *streamSession) {
+	return func(ss *streamSession) {
 		var scratch []byte
 		if helloExchange(ss, &scratch) != nil {
 			return
@@ -176,7 +188,7 @@ func startGatedWorker(t *testing.T, gate func(batch int64) bool) string {
 				return
 			}
 		}
-	})
+	}
 }
 
 // deathWait bounds how long the healthy worker of startDyingPair holds
@@ -465,6 +477,67 @@ func TestFailoverWorkerKilledMidRun(t *testing.T) {
 		t.Fatalf("flaky worker saw %d batches; the death path was never exercised", n)
 	}
 	requireIdentical(t, accs, want, "after mid-run worker death")
+}
+
+// TestBinaryWorkerDiesMidRunFleetSurvives takes the whole flaky host
+// down at its death point: its listener closes, so every redial is
+// refused, where TestFailoverWorkerKilledMidRun's flaky worker keeps
+// accepting connections and severs each at its first batch.
+func TestBinaryWorkerDiesMidRunFleetSurvives(t *testing.T) {
+	req := streamTestRequest(9 * montecarlo.ShardSize)
+	want := localWant(t, req)
+	const survives = 2
+	died := make(chan struct{})
+	var once sync.Once
+	var seen atomic.Int64
+	flaky := startFrameServer(t, gatedServe(func(batch int64) bool {
+		seen.Add(1)
+		if batch > survives {
+			once.Do(func() { close(died) })
+			return false
+		}
+		return true
+	}))
+	hostDown := make(chan struct{})
+	stop := make(chan struct{})
+	t.Cleanup(func() { close(stop) })
+	go func() {
+		select {
+		case <-died:
+			flaky.Listener.Close()
+			close(hostDown)
+		case <-stop:
+		}
+	}()
+	// The healthy worker's first batch waits for the host to go down,
+	// so it cannot drain the plan before the death point is reached.
+	healthy := startGatedWorker(t, func(batch int64) bool {
+		if batch == 1 {
+			select {
+			case <-hostDown:
+			case <-time.After(deathWait):
+			}
+		}
+		return true
+	})
+	flakyHost := strings.TrimPrefix(flaky.URL, "http://")
+	remote, err := NewRemote([]string{healthy, flakyHost}, RemoteOptions{BatchSize: 1, Concurrency: 1, HostFailLimit: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	accs, err := remote.EstimateVec(context.Background(), req)
+	if err != nil {
+		t.Fatalf("run with mid-run host death failed: %v", err)
+	}
+	if n := seen.Load(); n <= survives {
+		t.Fatalf("flaky worker saw %d batches; the death path was never exercised", n)
+	}
+	if conn, err := net.DialTimeout("tcp", flakyHost, time.Second); err == nil {
+		conn.Close()
+		t.Fatalf("flaky host %s still accepts connections after its death", flakyHost)
+	}
+	requireIdentical(t, accs, want, "after mid-run host death")
 }
 
 func TestShardTimeoutRedispatchesToSurvivors(t *testing.T) {
